@@ -3,8 +3,8 @@
 Each bench regenerates one exhibit of the paper (Table I, Figs. 1–3,
 Algorithm 1) or one hypothesis experiment (E1–E5). pytest captures
 stdout, so every bench also writes its table to
-``benchmarks/reports/<id>.txt`` — those files are the measured side of
-EXPERIMENTS.md.
+``benchmarks/reports/<id>.txt`` (directory :data:`_REPORT_DIR`, which
+tests point at a temporary directory).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@
 * :mod:`~repro.analysis.metrics` — cross-system comparisons: quality
   per step, response times, speedup tables (experiments E1/E3).
 * :mod:`~repro.analysis.reporting` — plain-text/markdown tables for
-  examples, benchmarks and EXPERIMENTS.md.
+  the CLI, examples and benchmark reports.
 """
 
 from repro.analysis.diversity import (

@@ -1,4 +1,4 @@
-"""Plain-text / markdown tables for examples, benchmarks and EXPERIMENTS.md."""
+"""Plain-text / markdown tables for the CLI, examples and benchmark reports."""
 
 from __future__ import annotations
 

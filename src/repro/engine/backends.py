@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.fitness import batch_jaccard, jaccard_fitness
 from repro.core.scenario import ParameterSpace
+from repro.engine import native
 from repro.engine.fastprop import FlatGrid
 from repro.errors import ReproError, SimulationError
 from repro.firelib.ellipse import eccentricity_from_effective_wind, ros_at_azimuth
@@ -127,10 +128,13 @@ class KernelCostModel:
         if work <= 0 or seconds <= 0.0:
             return
         obs = telemetry()
-        obs.histogram("repro_engine_kernel_seconds", kernel=kernel).observe(
-            seconds
-        )
-        obs.counter("repro_engine_kernel_calls_total", kernel=kernel).inc()
+        impl = native.impl()
+        obs.histogram(
+            "repro_engine_kernel_seconds", kernel=kernel, impl=impl
+        ).observe(seconds)
+        obs.counter(
+            "repro_engine_kernel_calls_total", kernel=kernel, impl=impl
+        ).inc()
         rate = seconds / work
         prev = self.rates.get(kernel)
         self.rates[kernel] = (
@@ -798,7 +802,7 @@ class VectorizedBackend(EngineBackend):
                     # table row with open cells cannot leak fire out of
                     # them — no per-cell blocked override needed.
                     times = grid.run_table(
-                        table.T.tolist(),
+                        table.T,
                         class_flat,
                         seeded,
                         horizon=spec.horizon,
@@ -849,6 +853,11 @@ class VectorizedBackend(EngineBackend):
                 sc, weight_rows[k] if weight_rows is not None else None
             )
             maps[k] = times <= self.spec.horizon
+        telemetry().counter(
+            "repro_engine_kernel_calls_total",
+            kernel="uniform" if weight_rows is not None else "table",
+            impl=native.impl(),
+        ).inc(len(scenarios))
         return maps, inverse.reshape(-1)
 
     # ------------------------------------------------------------------

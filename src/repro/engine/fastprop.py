@@ -25,6 +25,12 @@ regardless of heap tie order, and every candidate arrival is the same
 left-to-right float sum along its path, so the returned ignition-time
 maps are **bitwise identical** to the reference propagation — the
 property-test suite asserts this for all 13 NFFL fuel models.
+
+The heap loop itself runs in C (``fastprop.c``, built on first use by
+:mod:`repro.engine.native`) over NumPy copies of the same padded grid,
+seeds and offsets, which a grid converts once and reuses for every
+call. Where no compiler is available the Python loops below run
+instead; both give bitwise-equal maps.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.engine import native
 from repro.errors import SimulationError
 
 __all__ = ["FlatGrid", "propagate_uniform", "propagate_raster"]
@@ -82,7 +89,15 @@ class FlatGrid:
         mask[self.pad : self.pad + rows, self.pad : self.pad + cols] = inner
         # -inf sentinel: the relaxation test nt < times[ni] is always
         # false against it, so blocked cells need no dedicated branch.
-        self._template = np.where(mask, _BLOCKED, _INF).reshape(-1).tolist()
+        template = np.where(mask, _BLOCKED, _INF).reshape(-1)
+        self._template = template.tolist()
+        # Native-kernel inputs, converted once per grid: the sentinel
+        # cells a seeded state must keep (bounds safety of the C loop),
+        # the offsets, and the last seeded state / class map seen.
+        self._sentinels = np.isneginf(template)
+        self._offsets_arr = np.asarray(self.flat_offsets, dtype=np.int64)
+        self._seed_memo: tuple | None = None
+        self._class_memo: tuple | None = None
 
     # ------------------------------------------------------------------
     def flat_index(self, row: int, col: int) -> int:
@@ -141,12 +156,21 @@ class FlatGrid:
                 f"{len(weights)} weights for {len(self.flat_offsets)} "
                 "stencil directions"
             )
-        times, heap = seeded[0].copy(), seeded[1].copy()
         edges = [
             (off, float(w))
             for off, w in zip(self.flat_offsets, weights)
             if w < _INF
         ]
+        lib = native.load()
+        if lib is not None:
+            return self._run_native(
+                lib,
+                seeded,
+                np.array([off for off, _ in edges], dtype=np.int64),
+                np.array([w for _, w in edges], dtype=np.float64),
+                horizon,
+            )
+        times, heap = seeded[0].copy(), seeded[1].copy()
         limit = _INF if horizon is None else float(horizon)
         push, pop = heapq.heappush, heapq.heappop
         while heap:
@@ -184,6 +208,17 @@ class FlatGrid:
                     f"weight row has {len(row)} entries for "
                     f"{len(self.flat_offsets)} stencil directions"
                 )
+        lib = native.load()
+        if lib is not None:
+            table = np.ascontiguousarray(weight_table, dtype=np.float64)
+            return self._run_native(
+                lib,
+                seeded,
+                self._offsets_arr,
+                table.reshape(-1),
+                horizon,
+                classes=self._native_classes(class_flat, len(table)),
+            )
         times, heap = seeded[0].copy(), seeded[1].copy()
         class_edges = [
             list(zip(self.flat_offsets, (float(w) for w in row)))
@@ -232,6 +267,17 @@ class FlatGrid:
         padded[
             :, self.pad : self.pad + self.rows, self.pad : self.pad + self.cols
         ] = travel_time
+        lib = native.load()
+        if lib is not None:
+            return self._run_native(
+                lib,
+                seeded,
+                self._offsets_arr,
+                padded.reshape(-1),
+                horizon,
+                cell_step=1,
+                dir_step=padded[0].size,
+            )
         edges = [
             (off, plane.reshape(-1).tolist())
             for off, plane in zip(self.flat_offsets, padded)
@@ -255,7 +301,88 @@ class FlatGrid:
         return self._finish(times, horizon)
 
     # ------------------------------------------------------------------
-    def _finish(self, times: list[float], horizon: float | None) -> np.ndarray:
+    def _native_seed(self, seeded) -> tuple:
+        """``(times, seed_times, seed_indices)`` arrays of a seeded state.
+
+        Converted once and remembered for the last state seen (a batch
+        reuses one). Checked before any pointer reaches C: the times
+        cover the padded grid with every border and blocked sentinel in
+        place, and every seed is an open cell — so no relaxation ever
+        indexes outside the grid.
+        """
+        memo = self._seed_memo
+        if memo is None or memo[0] is not seeded:
+            times = np.array(seeded[0], dtype=np.float64)
+            heap = seeded[1]
+            seed_t = np.array([t for t, _ in heap], dtype=np.float64)
+            seed_i = np.array([i for _, i in heap], dtype=np.int64)
+            if (
+                times.shape != self._sentinels.shape
+                or not np.isneginf(times[self._sentinels]).all()
+                or ((seed_i < 0) | (seed_i >= times.size)).any()
+                or np.isneginf(times[seed_i]).any()
+            ):
+                raise SimulationError("seeded state does not match this grid")
+            memo = self._seed_memo = (seeded, times, seed_t, seed_i)
+        return memo[1:]
+
+    def _native_classes(self, class_flat, n_classes: int) -> np.ndarray:
+        """``class_flat`` as int64, converted once per class map."""
+        memo = self._class_memo
+        if memo is None or memo[0] is not class_flat:
+            classes = np.ascontiguousarray(class_flat, dtype=np.int64)
+            if classes.shape != self._sentinels.shape:
+                raise SimulationError(
+                    f"class map has {classes.size} cells, padded grid "
+                    f"{self._sentinels.size}"
+                )
+            memo = self._class_memo = (
+                class_flat,
+                classes,
+                int(classes.min()),
+                int(classes.max()),
+            )
+        if memo[2] < 0 or memo[3] >= n_classes:
+            raise SimulationError(
+                f"class indices [{memo[2]}, {memo[3]}] outside a "
+                f"{n_classes}-row weight table"
+            )
+        return memo[1]
+
+    def _run_native(
+        self,
+        lib,
+        seeded,
+        offsets: np.ndarray,
+        weights: np.ndarray,
+        horizon: float | None,
+        classes: np.ndarray | None = None,
+        cell_step: int = 0,
+        dir_step: int = 1,
+    ) -> np.ndarray:
+        """One sweep of the C kernel; see ``fastprop.c`` for the layout."""
+        template, seed_t, seed_i = self._native_seed(seeded)
+        times = template.copy()
+        status = lib.fastprop_run(
+            times.ctypes.data,
+            seed_t.ctypes.data,
+            seed_i.ctypes.data,
+            seed_t.size,
+            offsets.ctypes.data,
+            offsets.size,
+            weights.ctypes.data,
+            None if classes is None else classes.ctypes.data,
+            cell_step,
+            dir_step,
+            _INF if horizon is None else float(horizon),
+        )
+        if status != 0:
+            raise MemoryError("native propagation kernel: heap allocation failed")
+        return self._finish(times, horizon)
+
+    def _finish(
+        self, times: list[float] | np.ndarray, horizon: float | None
+    ) -> np.ndarray:
         out = np.asarray(times, dtype=np.float64).reshape(
             self.rows + 2 * self.pad, self.width
         )[self.pad : self.pad + self.rows, self.pad : self.pad + self.cols].copy()

@@ -4,7 +4,9 @@ The full ``benchmarks/bench_engine_backends.py`` harness runs at
 realistic sizes under pytest-benchmark; these tests import its smoke
 mode (tiny grids, 2 generations, no timing assertions) so a backend
 regression — a bitwise divergence or a broken pipeline rewire — fails
-the ordinary test run fast.
+the ordinary test run fast. Their machine-readable reports go to a
+temporary directory: running the tests never rewrites the committed
+``benchmarks/reports/BENCH_engine.json``.
 """
 
 from __future__ import annotations
@@ -19,11 +21,32 @@ if _BENCH_DIR not in sys.path:
     sys.path.insert(0, _BENCH_DIR)
 
 bench = pytest.importorskip("bench_engine_backends")
+_report = pytest.importorskip("_report")
+
+_COMMITTED_REPORT = os.path.join(_BENCH_DIR, "reports", "BENCH_engine.json")
+
+
+def _read_bytes(path: str) -> bytes | None:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
+@pytest.fixture(autouse=True)
+def _reports_in_tmp(tmp_path, monkeypatch):
+    """Send smoke reports to ``tmp_path``; the committed one stays as is."""
+    committed = _read_bytes(_COMMITTED_REPORT)
+    monkeypatch.setattr(_report, "_REPORT_DIR", str(tmp_path))
+    yield tmp_path
+    assert _read_bytes(_COMMITTED_REPORT) == committed
 
 
 class TestEngineBenchSmoke:
-    def test_backends_agree_on_tiny_workloads(self):
+    def test_backends_agree_on_tiny_workloads(self, _reports_in_tmp):
         rows = bench.smoke_backends()
+        assert (_reports_in_tmp / "BENCH_engine.json").exists()
         # one row per backend per workload, all with sane timings
         assert len(rows) == 9
         assert all(r["seconds"] > 0 for r in rows)

@@ -6,16 +6,23 @@ bit** — not approximately — across random scenarios on all 13 NFFL
 fuel models, on homogeneous and heterogeneous terrains, under both
 stencils. The flat-index Dijkstra kernels are additionally checked
 against the reference propagation on random travel-time rasters.
+
+Every case runs under both heap-loop implementations: the native C
+kernel (the default wherever it builds) and the Python loops (selected
+by replacing the loader, as on a machine without a compiler). The
+``*Python`` subclasses repeat their base class on the Python loops.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 import pytest
 
 from repro.core.scenario import ParameterSpace
-from repro.engine import SimulationEngine
-from repro.engine.fastprop import propagate_raster, propagate_uniform
+from repro.engine import SimulationEngine, native
+from repro.engine.fastprop import FlatGrid, propagate_raster, propagate_uniform
 from repro.firelib.propagation import (
     _offset_azimuth_deg,
     propagate,
@@ -26,6 +33,14 @@ from repro.parallel.executor import SerialEvaluator
 from repro.systems.problem import PredictionStepProblem
 
 SPACE = ParameterSpace()
+
+
+@pytest.fixture(autouse=True)
+def _kernel_impl(request, monkeypatch):
+    """Run each test under its class's ``IMPL`` heap loop."""
+    if getattr(request.cls, "IMPL", "native") == "python":
+        monkeypatch.setattr(native, "load", lambda: None)
+        assert native.impl() == "python"
 
 
 def _problem(terrain: Terrain, n_neighbors: int = 8, seed: int = 0):
@@ -215,21 +230,95 @@ class TestVectorizedBitwise:
         )
 
 
+_KERNEL_DEFAULTS = {
+    "n_neighbors": 8,
+    "size": 12,
+    "seeds": [(6, 6), (2, 3)],
+    "blocked_seeds": [],
+    "inf_dirs": [],
+    "horizon": 20.0,
+}
+
+#: Kernel edge cases, each a change to ``_KERNEL_DEFAULTS``.
+KERNEL_CASES = {
+    "8": {},
+    "16": {"n_neighbors": 16},
+    "timed-ignitions": {"seeds": {(6, 6): 0.0, (2, 3): 4.5, (9, 1): 1.25}},
+    "ignited-blocked-cell": {
+        "seeds": [(6, 6), (2, 3), (10, 10)],
+        "blocked_seeds": [(10, 10)],
+    },
+    "inf-direction-weight": {"inf_dirs": [1, 4]},
+    "no-horizon": {"horizon": None},
+    # more simultaneous heap entries than the C heap starts with
+    "heap-growth": {
+        "size": 80,
+        "seeds": [(r, c) for r in range(0, 80, 2) for c in range(0, 80, 2)],
+        "horizon": 6.0,
+    },
+}
+
+
 class TestFlatKernelsMatchReference:
-    @pytest.mark.parametrize("n_neighbors", [8, 16])
-    def test_raster_kernel_random_travel(self, n_neighbors):
-        rng = np.random.default_rng(n_neighbors)
-        offsets = stencil(n_neighbors)
-        travel = rng.uniform(0.5, 5.0, size=(len(offsets), 12, 12))
+    @pytest.mark.parametrize("case", list(KERNEL_CASES))
+    def test_raster_kernel_random_travel(self, case):
+        """All three kernels against the reference on random rasters.
+
+        ``run_table`` gets one class per cell (its table row is that
+        cell's travel column), ``run_uniform`` the travel column of one
+        cell broadcast over the grid.
+        """
+        params = {**_KERNEL_DEFAULTS, **KERNEL_CASES[case]}
+        size, seeds = params["size"], params["seeds"]
+        horizon = params["horizon"]
+        rng = np.random.default_rng(params["n_neighbors"])
+        offsets = stencil(params["n_neighbors"])
+        travel = rng.uniform(0.5, 5.0, size=(len(offsets), size, size))
         travel[rng.random(travel.shape) < 0.1] = np.inf
-        blocked = rng.random((12, 12)) < 0.15
-        seeds = [(6, 6), (2, 3)]
-        blocked[6, 6] = blocked[2, 3] = False
-        expected = propagate(travel, seeds, horizon=20.0, blocked=blocked)
+        travel[params["inf_dirs"]] = np.inf
+        blocked = rng.random((size, size)) < 0.15
+        for cell in seeds:
+            blocked[cell] = False
+        for cell in params["blocked_seeds"]:
+            blocked[cell] = True
+        if case == "heap-growth" and native.load() is not None:
+            init = ctypes.c_int64.in_dll(native.load(), "fastprop_heap_init")
+            assert len(seeds) > init.value
+        expected = propagate(travel, seeds, horizon=horizon, blocked=blocked)
         got = propagate_raster(
-            travel, offsets, seeds, horizon=20.0, blocked=blocked
+            travel, offsets, seeds, horizon=horizon, blocked=blocked
         )
         assert np.array_equal(expected, got)
+
+        grid = FlatGrid((size, size), offsets, blocked)
+        classes = np.zeros((size + 2 * grid.pad, grid.width), dtype=np.int64)
+        classes[grid.pad : grid.pad + size, grid.pad : grid.pad + size] = (
+            np.arange(size * size).reshape(size, size)
+        )
+        got_table = grid.run_table(
+            travel.reshape(len(offsets), -1).T,
+            classes.reshape(-1).tolist(),
+            grid.seed(seeds),
+            horizon=horizon,
+        )
+        assert np.array_equal(expected, got_table)
+
+        weights = travel[:, 0, 0]
+        expected_uniform = propagate(
+            np.broadcast_to(weights[:, None, None], travel.shape),
+            seeds,
+            horizon=horizon,
+            blocked=blocked,
+        )
+        got_uniform = propagate_uniform(
+            weights.tolist(),
+            (size, size),
+            offsets,
+            seeds,
+            horizon=horizon,
+            blocked=blocked,
+        )
+        assert np.array_equal(expected_uniform, got_uniform)
 
     def test_uniform_kernel_matches_constant_raster(self):
         offsets = stencil(8)
@@ -275,3 +364,11 @@ class TestFlatKernelsMatchReference:
     def test_offset_azimuths_cover_compass(self):
         azimuths = [_offset_azimuth_deg(dr, dc) for dr, dc in stencil(8)]
         assert azimuths == pytest.approx([0, 45, 90, 135, 180, 225, 270, 315])
+
+
+class TestVectorizedBitwisePython(TestVectorizedBitwise):
+    IMPL = "python"
+
+
+class TestFlatKernelsMatchReferencePython(TestFlatKernelsMatchReference):
+    IMPL = "python"
