@@ -12,7 +12,7 @@ against what the repository claims:
         --section few_big_groups_smoke
 
 Rows are matched by the ``--key`` label: ``mode`` by default
-(``group leases`` / ``unit leases`` / ``cost-aware units``), or e.g.
+(``group leases`` / ``cost-aware units``), or e.g.
 ``backend`` for the engine report's ``backends_smoke`` section.
 Wall-clock metrics (``seconds``, ``idle_seconds``, ``evals_per_sec``,
 ``speedup``) vary with machine load, so the script is a trajectory

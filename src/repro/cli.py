@@ -257,26 +257,16 @@ def _add_fleet(parser: argparse.ArgumentParser) -> None:
         "--min-unit-cells",
         type=int,
         default=1,
-        help="work-stealing floor: when a worker asks and only one "
-        "pending unit remains, it is split in half as long as both "
-        "halves keep at least this many (system, case, seed, backend) "
-        "cells; 0 disables splitting (whole-group leases)",
-    )
-    parser.add_argument(
-        "--scheduling",
-        choices=("cost", "halving"),
-        default="cost",
-        help="lease scheduling policy: 'cost' (default) packs units by "
-        "predicted cost, sizes leases to each worker's measured "
-        "throughput and piggybacks the next lease on every complete "
-        "report; 'halving' restores the original largest-whole/"
-        "split-last policy",
+        help="work-stealing floor: a pending unit is split for an "
+        "asking worker only while both parts keep at least this many "
+        "(system, case, seed, backend) cells; 0 disables splitting "
+        "(whole-group leases)",
     )
     parser.add_argument(
         "--target-unit-seconds",
         type=float,
         default=1.0,
-        help="cost scheduling's per-lease wall-clock target: leases "
+        help="per-lease wall-clock target: leases "
         "grow until a unit is predicted to take about this long, with "
         "--min-unit-cells as the floor",
     )
@@ -510,9 +500,7 @@ def _make_executor(args: argparse.Namespace):
     for the inline default, which honours ``--shards`` sugar)."""
     if args.executor == "process":
         return ProcessShardExecutor(
-            args.shards,
-            min_unit_cells=args.min_unit_cells,
-            scheduling=args.scheduling,
+            args.shards, min_unit_cells=args.min_unit_cells
         )
     if args.executor == "fleet":
         return FleetExecutor(
@@ -520,7 +508,6 @@ def _make_executor(args: argparse.Namespace):
             port=args.port,
             lease_timeout=args.lease_timeout,
             min_unit_cells=args.min_unit_cells,
-            scheduling=args.scheduling,
             target_unit_seconds=args.target_unit_seconds,
             auth_token=args.auth_token,
             slow_unit_factor=args.slow_unit_factor,
@@ -558,7 +545,6 @@ def _cmd_experiments_serve(args: argparse.Namespace) -> int:
         poll_interval=args.poll_interval,
         timeout=args.timeout,
         min_unit_cells=args.min_unit_cells,
-        scheduling=args.scheduling,
         target_unit_seconds=args.target_unit_seconds,
         auth_token=args.auth_token,
         slow_unit_factor=args.slow_unit_factor,
@@ -667,19 +653,22 @@ def _probe_status(args: argparse.Namespace) -> dict:
 
 def _print_status(reply: dict) -> None:
     """Render one status snapshot (shared by one-shot and --watch)."""
-    progress = reply.get("progress") or {}
-    state = "finished" if reply.get("finished") else "running"
-    print(
-        f"plan {reply.get('plan')!r}: {reply.get('recorded_cells')}/"
-        f"{reply.get('expected_cells')} cells recorded ({state})"
-    )
-    print(
-        f"pending units: {progress.get('pending_units')} "
-        f"({progress.get('pending_cells')} cells), "
-        f"leased: {progress.get('leased')}, "
-        f"requeues: {progress.get('requeues')}, "
-        f"steals: {progress.get('steals')}"
-    )
+    plans = reply.get("plans") or []
+    if not plans:
+        print("plans: none submitted yet")
+    for job in plans:
+        progress = job.get("progress") or {}
+        print(
+            f"plan {job.get('plan')!r} ({job.get('id')}, tenant "
+            f"{job.get('tenant')}): {job.get('recorded_cells')}/"
+            f"{job.get('expected_cells')} cells recorded "
+            f"({job.get('status')}); pending units: "
+            f"{progress.get('pending_units')} "
+            f"({progress.get('pending_cells')} cells), "
+            f"leased: {progress.get('leased')}, "
+            f"requeues: {progress.get('requeues')}, "
+            f"steals: {progress.get('steals')}"
+        )
     workers = reply.get("workers") or {}
     if workers:
         print("workers:")
@@ -729,8 +718,6 @@ def _cmd_experiments_status(args: argparse.Namespace) -> int:
                 print(f"--- {time.strftime('%H:%M:%S')} ---")
             probed_once = True
             _print_status(reply)
-            if reply.get("finished"):
-                return 0
             sys.stdout.flush()
             time.sleep(interval)
     except KeyboardInterrupt:
@@ -751,10 +738,9 @@ def _cmd_experiments_worker(args: argparse.Namespace) -> int:
         )
     except FleetError as exc:
         raise SystemExit(str(exc)) from exc
-    ending = "drained" if summary.get("drained") else "done"
     print(
-        f"worker {summary['worker']} {ending}: {summary['units']} units, "
-        f"{summary['records']} records (local store: {summary['store']})"
+        f"worker {summary['worker']} drained: {summary['units']} units, "
+        f"{summary['records']} records (local stores: {summary['store']})"
     )
     return 0
 
@@ -1033,13 +1019,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--connect",
         required=True,
         metavar="HOST:PORT",
-        help="coordinator address (printed by serve-coordinator)",
+        help="coordinator address (printed by serve-coordinator, or "
+        "the service's fleet port)",
     )
     p_wrk.add_argument(
         "--store",
-        help="worker-local results store; reusing a path across worker "
-        "restarts resumes interrupted groups (default: a fresh "
-        "temporary file)",
+        metavar="DIR",
+        help="directory of worker-local results stores, one "
+        "<plan_id>.jsonl per plan served, for any coordinator "
+        "(serve-coordinator or serve); reusing it across worker "
+        "restarts resumes interrupted units (default: a fresh "
+        "temporary directory)",
     )
     p_wrk.add_argument(
         "--poll-interval",
@@ -1097,7 +1087,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--connect",
         required=True,
         metavar="HOST:PORT",
-        help="coordinator address (single-plan or service fleet port)",
+        help="coordinator address (serve-coordinator or the service's "
+        "fleet port)",
     )
     p_drn.add_argument(
         "--worker",
@@ -1128,7 +1119,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--connect",
         required=True,
         metavar="HOST:PORT",
-        help="coordinator address (printed by serve-coordinator)",
+        help="coordinator address (printed by serve-coordinator, or "
+        "the service's fleet port)",
     )
     p_st.add_argument(
         "--auth-token",
@@ -1147,8 +1139,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="re-probe and redraw every SECONDS until the plan "
-        "finishes or the coordinator goes away (default: one snapshot)",
+        help="re-probe and redraw every SECONDS until the coordinator "
+        "goes away (a one-plan fleet does once its plan is recorded; "
+        "default: one snapshot)",
     )
     p_st.set_defaults(func=_cmd_experiments_status)
 

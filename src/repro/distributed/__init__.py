@@ -7,36 +7,28 @@ at the :class:`~repro.experiments.runner.ExperimentRunner`:
 * :class:`InlineExecutor` — in-process, sequential (the default).
 * :class:`ProcessShardExecutor` — local ``multiprocessing`` fan-out of
   units over a shared JSONL store (``shards=N``), splitting big units
-  so every shard gets work.
+  and packing them by predicted cost so every shard gets work.
 * :class:`FleetExecutor` — a TCP coordinator
   (``repro experiments serve-coordinator``) leasing units to remote
   ``repro experiments worker`` processes, with cell-level work stealing
-  (the last pending unit splits for an asking worker),
-  heartbeat/lease-timeout requeue, optional shared-secret HMAC
-  authentication, worker-local stores and first-writer-wins merging.
+  (pending units split for an asking worker, sized by its measured
+  throughput), heartbeat/lease-timeout requeue, optional shared-secret
+  HMAC authentication, worker-local stores and first-writer-wins
+  merging. It runs the service's coordinator
+  (:mod:`repro.service`) over a one-plan queue: one wire, one policy.
 
 Whatever the executor, resume stays the store's ``(system, case, seed,
 backend)`` contract: a run interrupted anywhere resumes under any
 executor *and any unit granularity*, and all executors produce
 identical store contents (modulo wall-clock timings) for the same plan
 and seeds — unit boundaries never change a cell's bytes.
-
-``GroupExecutor``/``GroupLedger`` remain as migration aliases of
-:class:`WorkExecutor`/:class:`UnitLedger` (the SPI's currency was a
-``(case, backend)`` group index before the unit-of-work redesign).
 """
 
-from repro.distributed.coordinator import (
-    FleetExecutor,
-    GroupLedger,
-    UnitLedger,
-)
+from repro.distributed.coordinator import FleetExecutor, UnitLedger
 from repro.distributed.executors import (
-    GroupExecutor,
     InlineExecutor,
     ProcessShardExecutor,
     WorkExecutor,
-    pending_group_indices,
     shard_assignments,
 )
 from repro.distributed.protocol import FleetAuthError, FleetError
@@ -46,15 +38,12 @@ __all__ = [
     "FleetAuthError",
     "FleetError",
     "FleetExecutor",
-    "GroupExecutor",
-    "GroupLedger",
     "InlineExecutor",
     "ProcessShardExecutor",
     "UnitLedger",
     "WorkExecutor",
     "backoff_delay",
     "parse_address",
-    "pending_group_indices",
     "run_worker",
     "shard_assignments",
 ]

@@ -17,8 +17,7 @@ scaling ladder:
   ``multiprocessing`` processes that meet only through the shared
   JSONL store; units are pre-split (down to ``min_unit_cells``) and
   packed into near-equal-**cost** shard assignments under a
-  plan-seeded :class:`~repro.experiments.costs.UnitCostModel`
-  (``scheduling="halving"`` restores count-based splitting), so a
+  plan-seeded :class:`~repro.experiments.costs.UnitCostModel`, so a
   plan with fewer groups than shards still occupies every shard and
   shards finish together.
 * :class:`~repro.distributed.coordinator.FleetExecutor` — units leased
@@ -33,13 +32,6 @@ store's ``(system, case, seed, backend)`` contract under every policy.
 An executor returns the freshly produced records, or ``None`` when its
 work reached the store through other processes and the runner should
 re-read it.
-
-Migration note: this SPI replaced the group-index ``GroupExecutor``
-protocol (``execute(runner, plan, done)``). Custom executors should
-now implement ``execute(runner, workset)`` and iterate
-``workset.pending()``; ``GroupExecutor`` remains as an alias of
-:class:`WorkExecutor`, and :meth:`ExperimentRunner.run_groups` remains
-as a shim over :meth:`ExperimentRunner.run_units`.
 """
 
 from __future__ import annotations
@@ -52,21 +44,17 @@ from repro.experiments.costs import UnitCostModel, plan_cost_model
 from repro.experiments.work import (
     WorkSet,
     WorkUnit,
-    assign_units,
     assign_units_by_cost,
     split_units_by_cost,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.experiments.plan import ExperimentPlan
     from repro.experiments.runner import ExperimentRunner
 
 __all__ = [
-    "GroupExecutor",
     "InlineExecutor",
     "ProcessShardExecutor",
     "WorkExecutor",
-    "pending_group_indices",
     "shard_assignments",
 ]
 
@@ -88,31 +76,15 @@ class WorkExecutor(Protocol):
         """
 
 
-#: Migration alias — the SPI used to be named after its old currency,
-#: whole ``(case, backend)`` groups.
-GroupExecutor = WorkExecutor
-
-
-def pending_group_indices(
-    plan: "ExperimentPlan", done: set[tuple[str, str, int, str]]
-) -> list[int]:
-    """Indices of plan groups that still have unrecorded cells.
-
-    Re-expressed over :meth:`WorkSet.pending` so there is exactly one
-    source of truth for "what remains" (compile drops fully recorded
-    groups).
-    """
-    return [unit.group for unit in WorkSet.compile(plan, done).pending()]
-
-
 def shard_assignments(
     pending: Sequence[int], shards: int
 ) -> list[list[int]]:
     """Round-robin split of pending group indices into shard work lists.
 
     Kept for group-index callers; unit-level shard planning (the shard
-    executor's path) is :func:`repro.experiments.work.assign_units`
-    over :meth:`WorkSet.pending`. Never yields an empty assignment:
+    executor's path) is
+    :func:`repro.experiments.work.assign_units_by_cost` over
+    :meth:`WorkSet.pending`. Never yields an empty assignment:
     asking for more shards than there are pending groups simply
     produces fewer shards, instead of spawning worker processes with
     nothing to do.
@@ -168,31 +140,26 @@ class ProcessShardExecutor:
         skipped, not spawned).
     min_unit_cells:
         Split floor when dividing big units so every shard gets work:
-        a unit splits only while both halves keep at least this many
+        a unit splits only while both parts keep at least this many
         cells. ``0`` disables splitting (whole-group shards, the
         pre-WorkUnit behaviour). Splitting moves only *where* cells
         run, never what they record.
-    scheduling:
-        ``"cost"`` (the default) pre-splits and packs units by
-        *predicted cost* — near-equal-cost chunks, LPT assignment plus
-        local swap/shift refinement
-        (:func:`repro.experiments.work.split_units_by_cost` /
-        :func:`~repro.experiments.work.assign_units_by_cost`) under a
-        plan-seeded :class:`~repro.experiments.costs.UnitCostModel` —
-        so shards finish together even when groups differ wildly in
-        cost. ``"halving"`` restores cell-count splitting with
-        round-robin assignment.
     cost_model:
-        Explicit :class:`~repro.experiments.costs.UnitCostModel` for
-        cost scheduling (tests, or a model saved from a previous run);
-        defaults to one seeded from the plan's budgets at execute time.
+        Explicit :class:`~repro.experiments.costs.UnitCostModel`
+        (tests, or a model saved from a previous run); defaults to one
+        seeded from the plan's budgets at execute time.
+
+    Units are pre-split and packed by *predicted cost* — near-equal-cost
+    chunks, LPT assignment plus local swap/shift refinement
+    (:func:`repro.experiments.work.split_units_by_cost` /
+    :func:`~repro.experiments.work.assign_units_by_cost`) — so shards
+    finish together even when groups differ wildly in cost.
     """
 
     def __init__(
         self,
         shards: int,
         min_unit_cells: int = 1,
-        scheduling: str = "cost",
         cost_model: UnitCostModel | None = None,
     ) -> None:
         if shards < 1:
@@ -201,14 +168,8 @@ class ProcessShardExecutor:
             raise ReproError(
                 f"min_unit_cells must be >= 0, got {min_unit_cells}"
             )
-        if scheduling not in ("cost", "halving"):
-            raise ReproError(
-                f"unknown scheduling mode {scheduling!r}; "
-                "choose 'cost' or 'halving'"
-            )
         self.shards = shards
         self.min_unit_cells = min_unit_cells
-        self.scheduling = scheduling
         self.cost_model = cost_model
 
     def execute(
@@ -224,33 +185,25 @@ class ProcessShardExecutor:
                 "sharded execution needs lock-serialised store appends, "
                 "unavailable on this platform; use the inline executor"
             )
-        if self.scheduling == "cost":
-            model = self.cost_model or plan_cost_model(workset.plan)
-            kernels = {
-                index: UnitCostModel.kernel_key(case.name, backend)
-                for index, ((case, backend), _keys) in enumerate(
-                    workset.plan.groups()
-                )
-            }
+        model = self.cost_model or plan_cost_model(workset.plan)
+        kernels = {
+            index: UnitCostModel.kernel_key(case.name, backend)
+            for index, ((case, backend), _keys) in enumerate(
+                workset.plan.groups()
+            )
+        }
 
-            def rate_of(group: int) -> float:
-                return model.rate(kernels.get(group, ""))
+        def rate_of(group: int) -> float:
+            return model.rate(kernels.get(group, ""))
 
-            pending = workset.pending()
-            if self.min_unit_cells > 0:
-                units = split_units_by_cost(
-                    pending, self.shards, rate_of, self.min_unit_cells
-                )
-            else:
-                units = list(pending)  # whole-group shards, as asked
-            assignments = assign_units_by_cost(
-                units, self.shards, rate_of
+        pending = workset.pending()
+        if self.min_unit_cells > 0:
+            units = split_units_by_cost(
+                pending, self.shards, rate_of, self.min_unit_cells
             )
         else:
-            units = workset.split(
-                self.shards, self.min_unit_cells
-            ).pending()
-            assignments = assign_units(units, self.shards)
+            units = list(pending)  # whole-group shards, as asked
+        assignments = assign_units_by_cost(units, self.shards, rate_of)
         if not units:
             return []
         from repro.obs import telemetry
@@ -284,8 +237,7 @@ class ProcessShardExecutor:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ProcessShardExecutor(shards={self.shards}, "
-            f"min_unit_cells={self.min_unit_cells}, "
-            f"scheduling={self.scheduling!r})"
+            f"min_unit_cells={self.min_unit_cells})"
         )
 
 

@@ -7,76 +7,74 @@ carrying exactly one request and one reply — no connection state to
 resynchronise after a worker (or the coordinator) dies mid-run, which
 is the failure mode the fleet is built around.
 
-Message ``type`` values (worker → coordinator, reply in parentheses):
+Every coordinator — a one-plan fleet run (``FleetExecutor``) and the
+always-on service (:mod:`repro.service`) alike — is a
+:class:`~repro.service.ServiceCoordinator` over a
+:class:`~repro.service.PlanQueue`, so there is one wire. Message
+``type`` values (worker → coordinator, reply in parentheses):
 
 ``hello``
-    Join the fleet (``welcome``: the plan payload, session sharing and
-    the lease timeout — a worker needs no plan file of its own. Under
-    cost scheduling the welcome also advertises ``piggyback: true``,
-    switching the worker to the low-round-trip loop below. When the
-    coordinator runs under a ``plan`` root span, the welcome also
-    carries ``trace`` — ``{"trace_id", "parent_span"}`` — which the
-    worker adopts so every fleet process traces into one tree. A
-    multi-plan service coordinator (:mod:`repro.service`) instead
-    advertises ``multi_plan: true`` and ships no plan: each ``unit``
-    reply then carries ``plan_id`` plus the plan payload inline, and
-    the worker echoes ``plan_id`` on ``heartbeat``/``complete``/
-    ``records`` so the service routes them to the right ledger).
+    Join the fleet (``welcome``: session sharing, the lease timeout and
+    the idle poll interval). The welcome carries no plan — a worker
+    needs no plan file of its own, and one coordinator may serve many
+    plans.
 ``lease``
     Ask for work (``unit``: a leased work-unit descriptor — a group
     index plus the explicit cell subset to run, see
-    :class:`~repro.experiments.work.WorkUnit`; ``wait``: everything is
-    leased or another worker still holds undrained records; ``drain``:
-    the coordinator wants this worker's local records before handing
-    out more work; ``done``: the plan is fully recorded; ``bye``: this
-    worker was asked to leave — see ``drain`` below — and owes
-    nothing, so it may exit; nothing it ran will requeue).
+    :class:`~repro.experiments.work.WorkUnit` — together with the
+    ``plan_id`` it belongs to, the plan payload, and the plan's
+    ``trace`` context ``{"trace_id", "parent_span"}`` when it has one,
+    which the worker adopts so every fleet process traces into one
+    tree; ``wait``: nothing is grantable right now; ``drain``: the
+    coordinator wants this worker's local records of ``plan_id``
+    before handing out more work; ``bye``: this worker was retired —
+    by an operator ``drain``, or because the coordinator's admitted
+    plans are all done — and owes nothing, so it may exit; nothing it
+    ran will requeue).
 ``heartbeat``
-    Keep a lease alive while a unit runs (``ok`` / ``expired``). May
-    carry a ``telemetry`` payload — the worker's cumulative
-    ``busy_seconds``, the in-flight unit's elapsed time, and an
-    ``engine_costs`` kernel-rate snapshot — folded into the
-    coordinator's live utilization view and its unit cost model (an
-    in-flight unit's elapsed time bounds its cost from below). Also
-    carries ``metrics`` (a delta-encoded registry snapshot, see
+    Keep a lease alive while a unit runs (``ok`` / ``expired``);
+    echoes ``plan_id``. May carry a ``telemetry`` payload — the
+    worker's cumulative ``busy_seconds``, the in-flight unit's elapsed
+    time, and an ``engine_costs`` kernel-rate snapshot — folded into
+    the coordinator's live utilization view and its unit cost model
+    (an in-flight unit's elapsed time bounds its cost from below).
+    Also carries ``metrics`` (a delta-encoded registry snapshot, see
     :func:`repro.obs.snapshot_delta`) which the coordinator folds into
     its fleet registry labelled by worker, and ``sent_at`` (the
     worker's wall clock at send time) from which replies derive a
     ``clock_offset`` estimate for merged-timeline alignment.
 ``complete``
     Report a leased unit finished (``ok`` / ``stale`` when the lease
-    timed out and the unit was already re-leased). May carry a
-    ``telemetry`` payload (``unit_seconds``, cumulative
+    timed out and the unit was already re-leased); echoes ``plan_id``.
+    Carries a ``telemetry`` payload (``unit_seconds``, cumulative
     ``busy_seconds``, ``records``, ``cells``, ``engine_costs``) for
-    per-worker accounting and online cost-model updates. Under
-    piggyback the request also carries the worker's undrained
-    ``records`` inline (an implicit drain) and the reply carries
-    ``next`` — a full lease decision (``unit``/``wait``/``drain``/
-    ``done``), collapsing complete → drain → records → lease into one
-    round-trip. ``next`` rides ``stale`` replies too: a worker whose
-    lease expired still wants work. Like heartbeats, ``complete``
-    carries ``metrics`` + ``sent_at``; the reply echoes a
-    ``clock_offset``, and ``unit`` replies (direct leases and
-    piggybacked ``next``) are stamped with the coordinator's ``trace``
-    context.
+    per-worker accounting and online cost-model updates, and the
+    worker's undrained ``records`` inline (an implicit drain). The
+    reply carries ``next`` — a full lease decision (``unit``/``wait``/
+    ``drain``/``bye``, for any plan) — so a steady-state worker pays
+    one round-trip per unit. ``next`` rides ``stale`` replies too: a
+    worker whose lease expired still wants work. Like heartbeats,
+    ``complete`` carries ``metrics`` + ``sent_at`` and the reply
+    echoes a ``clock_offset``.
 ``records``
-    Upload the worker's local store (``ok``; the coordinator merges the
-    records into its own store, first writer wins).
+    Upload the worker's local records of ``plan_id`` (``ok``; the
+    coordinator merges them into that plan's store, first writer
+    wins) — the answer to a ``drain`` reply.
 ``status``
-    Read-only fleet snapshot (``status``: plan name,
-    expected/recorded cell counts, ledger progress, per-worker
-    utilization/round-trip accounting, and — under cost scheduling —
-    the fleet-wide cost model as ``costs``). Sent by
+    Read-only snapshot (``status``: one entry per plan with
+    expected/recorded cells, state and ledger progress, the per-worker
+    busy/idle and round-trip accounting, queue admission state and the
+    shared cost model as ``costs``). Sent by
     ``repro experiments status``; never counts as worker contact, so
     probing a fleet cannot delay its shutdown.
 ``drain``
     Operator request (``repro experiments drain``, or the service
     gateway's ``POST /workers/<id>/drain``): gracefully retire the
     worker named ``target`` (``ok``). The target finishes any unit it
-    holds and keeps completing/draining normally, but receives no new
-    grants; once its records are merged, its next ask is answered
-    ``bye`` and it exits with zero requeued cells — elastic
-    scale-down without re-running anything.
+    holds and keeps completing normally, but receives no new grants;
+    once its records are merged, its next ask is answered ``bye`` and
+    it exits with zero requeued cells — elastic scale-down without
+    re-running anything.
 
 **Authentication.** With a shared secret configured
 (``--auth-token`` / ``REPRO_FLEET_TOKEN``) every exchange runs a
@@ -111,6 +109,7 @@ import hmac
 import json
 import secrets
 import socket
+import socketserver
 import struct
 
 from repro.errors import ParallelError
@@ -118,6 +117,7 @@ from repro.errors import ParallelError
 __all__ = [
     "FleetAuthError",
     "FleetError",
+    "FleetRequestHandler",
     "MAX_MESSAGE_BYTES",
     "auth_mac",
     "auth_nonce",
@@ -306,3 +306,84 @@ def request(
             f"auth token: {reply.get('error')}"
         )
     return reply
+
+
+class FleetRequestHandler(socketserver.BaseRequestHandler):
+    """Coordinator side of one exchange: framing, auth, dispatch.
+
+    The server it runs under provides ``auth_token`` (``None`` disables
+    the handshake) and ``dispatch(message) -> reply``.
+    """
+
+    def handle(self) -> None:  # pragma: no cover - exercised via sockets
+        try:
+            message = recv_message(self.request)
+            if message is None:
+                return
+            token = self.server.auth_token
+            if token is not None:
+                # the mutual handshake runs BEFORE dispatch: an
+                # unauthenticated peer sees a random nonce (plus a
+                # proof it cannot use without the token) and an error
+                # — never a byte of a plan or its records
+                if message.get("type") != "auth-hello":
+                    # a tokenless client sent its request plainly; the
+                    # challenge tells it (and its operator) why
+                    send_message(
+                        self.request,
+                        {"type": "challenge", "nonce": auth_nonce()},
+                    )
+                    return
+                nonce = auth_nonce()
+                send_message(
+                    self.request,
+                    {
+                        "type": "challenge",
+                        "nonce": nonce,
+                        "proof": auth_mac(
+                            token,
+                            str(message.get("nonce", "")),
+                            "coordinator",
+                        ),
+                    },
+                )
+                auth = recv_message(self.request)
+                if (
+                    auth is None
+                    or auth.get("type") != "auth"
+                    or not verify_auth(
+                        token, nonce, auth.get("mac"), "worker"
+                    )
+                ):
+                    if auth is not None:
+                        # "denied": the structured marker request()
+                        # keys FleetAuthError on (never retried) —
+                        # dispatch errors cannot carry it
+                        send_message(
+                            self.request,
+                            {
+                                "type": "error",
+                                "error": "authentication failed",
+                                "denied": "auth",
+                            },
+                        )
+                    return
+                message = auth.get("request")
+                if not isinstance(message, dict):
+                    send_message(
+                        self.request,
+                        {
+                            "type": "error",
+                            "error": "authenticated exchange without "
+                            "a request payload",
+                        },
+                    )
+                    return
+            try:
+                reply = self.server.dispatch(message)
+            except Exception as exc:  # report, don't kill the server
+                reply = {"type": "error", "error": str(exc)}
+            send_message(self.request, reply)
+        except OSError:
+            # a worker died mid-exchange; its lease will expire
+            pass

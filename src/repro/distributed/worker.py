@@ -1,16 +1,29 @@
 """Fleet worker: lease work units, run their cells, upload the records.
 
-``repro experiments worker --connect HOST:PORT`` runs this loop. A
-worker needs no plan file and no shared filesystem: the plan arrives in
-the coordinator's ``welcome`` payload, and every leased
+``repro experiments worker --connect HOST:PORT`` runs this loop against
+any coordinator — a one-plan fleet run or the always-on service; both
+speak one wire (see :mod:`repro.distributed.protocol`). A worker needs
+no plan file and no shared filesystem: every leased
 :class:`~repro.experiments.work.WorkUnit` — a ``(case, backend)`` group
 index plus the *explicit cell subset* to run, possibly a whole group,
-possibly one stolen cell — executes through the worker's own
+possibly one stolen cell — arrives with its ``plan_id`` and the plan
+payload, and executes through the worker's own
 :class:`~repro.experiments.runner.ExperimentRunner` (one shared
 :class:`~repro.engine.EngineSession` per unit's group context, exactly
-like a local run). Completed runs stream into a worker-local crash-safe
-:class:`~repro.experiments.store.ResultsStore` that is uploaded when
-the coordinator asks (``drain``) and merged first-writer-wins.
+like a local run). The worker keeps one execution context — plan,
+local store, resume index — per plan it has served, and echoes
+``plan_id`` on ``heartbeat``/``complete``/``records`` so the
+coordinator routes them to the right ledger and store.
+
+Completed runs stream into a worker-local crash-safe
+:class:`~repro.experiments.store.ResultsStore` per plan —
+``<store dir>/<plan_id>.jsonl`` — and ride the next ``complete``
+report inline, merged first-writer-wins; the reply carries the next
+lease decision (``next``), so a steady-state worker pays **one
+round-trip per unit**. Each ``complete`` and heartbeat also ships a
+cost report (measured unit seconds plus the engine's kernel-rate
+snapshot), feeding the coordinator's fleet-wide
+:class:`~repro.experiments.costs.UnitCostModel`.
 
 While a unit runs, a background thread heartbeats the lease at a
 quarter of the coordinator's lease timeout; if the worker dies, the
@@ -19,11 +32,12 @@ worker that *outlives* its lease (e.g. a long GC pause) keeps its
 records — the ``complete`` report comes back ``stale``, the re-run
 elsewhere wins the merge, nothing is duplicated.
 
-Re-pointing a worker at the same ``--store`` after a crash resumes: the
-store's ``(system, case, seed, backend)`` contract skips the recorded
-cells of a re-leased unit — the resume granularity is the *cell*, so a
-store recorded under whole-group leases resumes under cell leases and
-vice versa.
+Re-pointing a worker at the same ``--store`` directory after a crash
+resumes: the plan id is a digest of the plan, so the same plan finds
+the same ``<plan_id>.jsonl``, and the store's ``(system, case, seed,
+backend)`` contract skips the recorded cells of a re-leased unit — the
+resume granularity is the *cell*, so a store recorded under whole-group
+leases resumes under cell leases and vice versa.
 
 Connection failures retry under capped exponential backoff with
 jitter (see :func:`backoff_delay`), so a worker started *before* its
@@ -34,26 +48,10 @@ With a shared secret configured (``auth_token`` /
 ``REPRO_FLEET_TOKEN``), every exchange answers the coordinator's HMAC
 challenge first (see :mod:`repro.distributed.protocol`).
 
-When the coordinator's ``welcome`` advertises ``piggyback`` (cost
-scheduling), the worker collapses its steady-state loop to **one
-round-trip per unit**: every ``complete`` report carries the local
-store's not-yet-uploaded records inline, and the reply carries the
-next lease decision (``next``) — no separate ``drain``/``records``/
-``lease`` exchanges while work flows. Each ``complete`` and heartbeat
-also ships a cost report (measured unit seconds plus the engine's
-kernel-rate snapshot), feeding the coordinator's fleet-wide
-:class:`~repro.experiments.costs.UnitCostModel`.
-
-A ``welcome`` advertising ``multi_plan`` (the always-on
-:mod:`repro.service` coordinator) carries no plan of its own: each
-``unit`` reply names its plan (``plan_id``) and ships the plan payload
-inline, and the worker keeps one execution context — plan, local
-store, resume index — per plan it has served. The worker's
-``complete``/``heartbeat``/``records`` messages echo ``plan_id`` so
-the service routes them to the right ledger and store. A worker asked
-to leave (the service's drain lifecycle) receives ``bye`` once its
-leases are finished and its records merged, and returns its summary
-with ``drained: true``.
+A worker leaves when the coordinator answers ``bye``: after an
+operator ``drain``, or once a one-plan fleet's plan is recorded. By
+then its leases are finished and its records merged, so nothing
+requeues.
 
 ``REPRO_WORKER_THROTTLE`` (seconds per cell, or the ``throttle``
 parameter) artificially slows a worker down — a test/CI knob for
@@ -136,6 +134,7 @@ class _LeaseHeartbeat:
         self,
         address: tuple[str, int],
         worker: str,
+        plan_id: str,
         lease: int,
         interval: float,
         request_timeout: float,
@@ -143,12 +142,13 @@ class _LeaseHeartbeat:
         busy_base: float = 0.0,
         engine_costs: Callable[[], dict] | None = None,
         metrics: Callable[[], list] | None = None,
-        plan_id: str | None = None,
     ) -> None:
-        self._payload = {"type": "heartbeat", "worker": worker, "lease": lease}
-        if plan_id is not None:
-            # multi-plan coordinators route the beat by plan
-            self._payload["plan_id"] = plan_id
+        self._payload = {
+            "type": "heartbeat",
+            "worker": worker,
+            "lease": lease,
+            "plan_id": plan_id,
+        }
         self._address = address
         self._interval = interval
         self._request_timeout = request_timeout
@@ -225,18 +225,18 @@ def run_worker(
     backoff_base: float = 0.5,
     backoff_cap: float = 5.0,
 ) -> dict:
-    """Serve one coordinator until its plan is fully recorded.
+    """Serve one coordinator until it answers ``bye``.
 
     Parameters
     ----------
     address:
         Coordinator ``HOST:PORT`` (string or tuple).
     store_path:
-        Worker-local results store; a fresh temporary file when omitted.
-        Reusing a path across worker restarts resumes interrupted
-        units instead of recomputing them. Serving a multi-plan
-        coordinator this is a *directory* (one store per plan inside);
-        created if missing.
+        Directory of worker-local results stores, one
+        ``<plan_id>.jsonl`` per plan served (created if missing; a
+        fresh temporary directory when omitted). Reusing it across
+        worker restarts resumes interrupted units instead of
+        recomputing them.
     poll_interval:
         Idle re-ask cadence; defaults to what the coordinator
         advertises.
@@ -269,9 +269,8 @@ def run_worker(
     Returns a summary dict: ``units``/``records`` executed,
     ``busy_seconds`` spent inside unit execution (the idle-time metric
     of ``benchmarks/bench_executors.py``), the derived
-    ``idle_seconds``/``wall_seconds``, the local ``store`` path, and
-    ``drained`` — True when the exit was a graceful ``bye`` after a
-    drain rather than plan completion.
+    ``idle_seconds``/``wall_seconds``, the last ``clock_offset``
+    estimate and the local ``store`` directory.
     The same busy/idle split lands in the process metric registry as
     ``repro_worker_busy_seconds``/``repro_worker_idle_seconds`` gauges,
     and is reported upstream on every heartbeat and ``complete``
@@ -341,9 +340,9 @@ def run_worker(
     registry.set_span_prefix(worker)
 
     def adopt_trace(payload: dict) -> None:
-        """Join the coordinator's trace (stamped on welcome/leases):
-        this worker's spans then carry the fleet-wide trace_id and
-        parent onto the coordinator's `plan` root span."""
+        """Join a plan's trace (stamped on its unit grants): this
+        worker's spans then carry the plan's trace_id and parent onto
+        the coordinator's `plan` root span."""
         trace = payload.get("trace")
         if isinstance(trace, dict) and trace.get("trace_id"):
             registry.adopt_trace(
@@ -368,18 +367,12 @@ def run_worker(
     welcome = rpc({"type": "hello", "worker": worker})
     if welcome.get("type") != "welcome":
         raise FleetError(f"expected welcome, got {welcome.get('type')!r}")
-    adopt_trace(welcome)
-    multi_plan = bool(welcome.get("multi_plan", False))
     share_sessions = bool(welcome.get("share_sessions", True))
     lease_timeout = float(welcome.get("lease_timeout", 30.0))
-    piggyback = bool(welcome.get("piggyback", False))
     if poll_interval is None:
         poll_interval = float(welcome.get("poll_interval", 0.5))
     if store_path is None:
-        tmpdir = tempfile.mkdtemp(prefix="repro-fleet-worker-")
-        store_path = tmpdir if multi_plan else os.path.join(
-            tmpdir, "store.jsonl"
-        )
+        store_path = tempfile.mkdtemp(prefix="repro-fleet-worker-")
     heartbeat_interval = max(lease_timeout / 4.0, 0.05)
 
     class PlanContext:
@@ -417,16 +410,11 @@ def run_worker(
                 if key in self.plan_cells and key not in self.drained_cells
             ]
 
-    contexts: dict[object, PlanContext] = {}
+    contexts: dict[str, PlanContext] = {}
 
     def context_for(plan_id, payload) -> PlanContext:
-        """The (cached) execution context of one plan.
-
-        Single-plan coordinators key the lone context under ``None``
-        (built once from the welcome); a multi-plan service names the
-        plan on every unit and ships its payload inline, and each
-        plan's store lives in its own file under the store directory.
-        """
+        """The (cached) execution context of one plan; its store is
+        ``<store dir>/<plan_id>.jsonl``."""
         if plan_id in contexts:
             return contexts[plan_id]
         if not isinstance(payload, dict):
@@ -447,25 +435,13 @@ def run_worker(
         )
         return context
 
-    if multi_plan:
-        log.info(
-            "worker %s joined multi-plan service at %s:%d",
-            worker,
-            addr[0],
-            addr[1],
-            extra={"worker": worker},
-        )
-    else:
-        plan = ExperimentPlan.from_dict(welcome["plan"])
-        contexts[None] = PlanContext(plan, store_path)
-        log.info(
-            "worker %s joined fleet at %s:%d (plan %s)",
-            worker,
-            addr[0],
-            addr[1],
-            plan.name,
-            extra={"worker": worker, "plan": plan.name},
-        )
+    log.info(
+        "worker %s joined fleet at %s:%d",
+        worker,
+        addr[0],
+        addr[1],
+        extra={"worker": worker},
+    )
 
     units_run = 0
     records_run = 0
@@ -480,18 +456,18 @@ def run_worker(
         if ctx is None:
             return 0
         fresh_records = ctx.undrained_records()
-        payload = {
-            "type": "records",
-            "worker": worker,
-            "records": fresh_records,
-        }
-        if plan_id is not None:
-            payload["plan_id"] = plan_id
-        rpc(payload)
+        rpc(
+            {
+                "type": "records",
+                "worker": worker,
+                "plan_id": plan_id,
+                "records": fresh_records,
+            }
+        )
         ctx.drained_cells.update(record_key(r) for r in fresh_records)
         return len(fresh_records)
 
-    def summary(drained: bool) -> dict:
+    def summary() -> dict:
         wall_seconds = time.perf_counter() - wall_started
         idle_seconds = max(wall_seconds - busy_seconds, 0.0)
         obs = telemetry()
@@ -516,9 +492,9 @@ def run_worker(
                 }
             )
         log.info(
-            "worker %s %s: %d units, %d records, busy %.3fs / idle %.3fs",
+            "worker %s drained: %d units, %d records, busy %.3fs / "
+            "idle %.3fs",
             worker,
-            "drained" if drained else "done",
             units_run,
             records_run,
             busy_seconds,
@@ -539,12 +515,11 @@ def run_worker(
             "idle_seconds": idle_seconds,
             "wall_seconds": wall_seconds,
             "clock_offset": clock_offset,
-            "drained": drained,
             "store": str(store_path),
         }
 
-    # piggyback mode threads the next lease decision through each
-    # `complete` reply; `reply = None` means "ask the coordinator"
+    # every `complete` reply carries the next lease decision;
+    # `reply = None` means "ask the coordinator"
     reply: dict | None = None
     while True:
         message = reply or rpc({"type": "lease", "worker": worker})
@@ -553,7 +528,7 @@ def run_worker(
         if kind == "unit":
             adopt_trace(message)
             lease = message.get("lease")
-            plan_id = message.get("plan_id") if multi_plan else None
+            plan_id = message.get("plan_id")
             ctx = context_for(plan_id, message.get("plan"))
             unit = WorkUnit.from_dict(message.get("unit") or {})
             log.info(
@@ -573,6 +548,7 @@ def run_worker(
             with _LeaseHeartbeat(
                 addr,
                 worker,
+                plan_id,
                 lease,
                 heartbeat_interval,
                 request_timeout,
@@ -580,7 +556,6 @@ def run_worker(
                 busy_base=busy_seconds,
                 engine_costs=lambda: kernel_costs().snapshot(),
                 metrics=metrics_delta,
-                plan_id=plan_id,
             ):
                 runner = ExperimentRunner(
                     store=ctx.store,
@@ -627,33 +602,32 @@ def run_worker(
                 },
             )
             # 'stale' just means the lease expired under us; the records
-            # are safe in the local store and the merge dedupes
-            payload = {
-                "type": "complete",
-                "worker": worker,
-                "lease": lease,
-                # per-unit timing + cumulative busy accounting + the
-                # engine's kernel-rate snapshot: the coordinator folds
-                # these into its utilization view and cost model
-                "telemetry": {
-                    "unit_seconds": unit_seconds,
-                    "busy_seconds": busy_seconds,
-                    "records": len(fresh),
-                    "cells": unit.n_cells,
-                    "engine_costs": kernel_costs().snapshot(),
-                },
-                "metrics": metrics_delta(),
-                "sent_at": time.time(),
-            }
-            if plan_id is not None:
-                payload["plan_id"] = plan_id
-            uploaded: list[dict] = []
-            if piggyback:
-                # inline drain: the records ride the report, so the
-                # worker owes nothing if it dies right after this
-                uploaded = ctx.undrained_records()
-                payload["records"] = uploaded
-            completion = rpc(payload)
+            # are safe in the local store and the merge dedupes. The
+            # undrained records ride the report inline, so the worker
+            # owes nothing if it dies right after this exchange
+            uploaded = ctx.undrained_records()
+            completion = rpc(
+                {
+                    "type": "complete",
+                    "worker": worker,
+                    "plan_id": plan_id,
+                    "lease": lease,
+                    # per-unit timing + cumulative busy accounting + the
+                    # engine's kernel-rate snapshot: the coordinator
+                    # folds these into its utilization view and cost
+                    # model
+                    "telemetry": {
+                        "unit_seconds": unit_seconds,
+                        "busy_seconds": busy_seconds,
+                        "records": len(fresh),
+                        "cells": unit.n_cells,
+                        "engine_costs": kernel_costs().snapshot(),
+                    },
+                    "metrics": metrics_delta(),
+                    "sent_at": time.time(),
+                    "records": uploaded,
+                }
+            )
             ctx.drained_cells.update(record_key(r) for r in uploaded)
             offset = completion.get("clock_offset")
             if isinstance(offset, (int, float)):
@@ -672,18 +646,13 @@ def run_worker(
                     )
             nxt = completion.get("next")
             if isinstance(nxt, dict):
-                # piggybacked grant: the reply already decided our next
-                # move — no separate lease round-trip
+                # the reply already decided our next move — no
+                # separate lease round-trip
                 reply = nxt
             if after_complete is not None:
                 after_complete(unit.group)
         elif kind == "drain":
-            plan_ids = (
-                [message["plan_id"]]
-                if "plan_id" in message
-                else list(contexts)
-            )
-            drained_n = sum(drain_to_coordinator(p) for p in plan_ids)
+            drained_n = drain_to_coordinator(message.get("plan_id"))
             log.info(
                 "worker %s drained %d records",
                 worker,
@@ -692,11 +661,9 @@ def run_worker(
             )
         elif kind == "wait":
             time.sleep(poll_interval)
-        elif kind == "done":
-            return summary(drained=False)
         elif kind == "bye":
             # graceful leave: the coordinator confirmed every lease is
             # finished and every record merged — nothing requeues
-            return summary(drained=True)
+            return summary()
         else:
             raise FleetError(f"unexpected coordinator reply {kind!r}")

@@ -1,19 +1,17 @@
-"""Multi-plan fleet endpoint: the service's worker-facing TCP server.
+"""The fleet endpoint: the worker-facing TCP server of every coordinator.
 
-Same wire protocol, same handler, different brain: the
-:class:`ServiceCoordinator` reuses the single-plan coordinator's
-connection handler (framing + mutual HMAC auth live there) but routes
-every message to a :class:`~repro.service.queue.PlanQueue` instead of
-one ledger. The differences a worker observes:
-
-* the ``welcome`` advertises ``multi_plan: true`` and carries **no
-  plan** — there is no "the" plan; each ``unit`` grant ships its
-  ``plan_id`` and plan payload inline and the worker echoes the id on
-  ``heartbeat``/``complete``/``records``;
-* ``piggyback`` is always on (the queue prices every grant with its
-  cost model, so the low-round-trip loop is unconditional);
-* there is no ``done`` — an always-on service never finishes; workers
-  leave only via the ``drain`` → ``bye`` lifecycle.
+:class:`ServiceCoordinator` routes each message of the fleet wire
+(:mod:`repro.distributed.protocol`, whose connection handler does the
+framing and the mutual HMAC auth) to a
+:class:`~repro.service.queue.PlanQueue`. It is the only fleet message
+dispatcher in the repository: ``repro serve`` runs one over a
+many-tenant queue, and a one-plan fleet run
+(:class:`~repro.distributed.coordinator.FleetExecutor`) runs one over a
+queue holding its single plan. Workers see one wire either way: the
+``welcome`` carries no plan, each ``unit`` grant ships its ``plan_id``
+and plan payload inline, the worker echoes the id on
+``heartbeat``/``complete``/``records``, every ``complete`` reply
+piggybacks the next decision, and workers leave only via ``bye``.
 """
 
 from __future__ import annotations
@@ -23,8 +21,11 @@ import socketserver
 import threading
 import time
 
-from repro.distributed.coordinator import _CoordinatorHandler
-from repro.distributed.protocol import FleetError, check_auth_token
+from repro.distributed.protocol import (
+    FleetError,
+    FleetRequestHandler,
+    check_auth_token,
+)
 from repro.obs import telemetry
 
 from repro.service.queue import PlanQueue
@@ -40,13 +41,13 @@ class ServiceCoordinator:
     Parameters
     ----------
     queue:
-        The multi-plan scheduler every message is routed to.
+        The scheduler every message is routed to (one plan or many).
     host, port:
         Listen address; port ``0`` lets the OS pick (read it back from
         :attr:`address` after :meth:`start`).
     share_sessions, poll_interval:
-        Advertised to workers on ``welcome``, same meaning as the
-        single-plan coordinator.
+        Advertised to workers on ``welcome``: whether a leased unit's
+        runs share one engine session, and the idle re-ask cadence.
     auth_token:
         Shared secret for the mutual challenge–response handshake
         (``None`` disables authentication) — enforced by the shared
@@ -113,8 +114,6 @@ class ServiceCoordinator:
             queue.touch(worker)
             return {
                 "type": "welcome",
-                "multi_plan": True,
-                "piggyback": True,
                 "share_sessions": self.share_sessions,
                 "lease_timeout": queue.lease_timeout,
                 "poll_interval": self.poll_interval,
@@ -161,8 +160,9 @@ class ServiceCoordinator:
 
 
 def _stamp_clock(message: dict, reply: dict) -> dict:
-    """Echo a ``sent_at`` timestamp as a ``clock_offset`` estimate
-    (identical semantics to the single-plan coordinator)."""
+    """Answer a ``sent_at`` timestamp with the coordinator-measured
+    clock-offset estimate (coordinator time minus worker send time —
+    skewed by one-way latency, plenty for timeline alignment)."""
     sent = message.get("sent_at")
     if sent is not None:
         try:
@@ -175,7 +175,7 @@ def _stamp_clock(message: dict, reply: dict) -> dict:
 class _ServiceServer(socketserver.ThreadingTCPServer):
     """The TCP shell: framing/auth handler + dispatch to the service.
 
-    ``_CoordinatorHandler`` only touches ``server.auth_token`` and
+    :class:`FleetRequestHandler` only touches ``server.auth_token`` and
     ``server.dispatch`` — exactly the surface this shim provides.
     """
 
@@ -185,6 +185,6 @@ class _ServiceServer(socketserver.ThreadingTCPServer):
     def __init__(
         self, address: tuple[str, int], service: ServiceCoordinator
     ) -> None:
-        super().__init__(address, _CoordinatorHandler)
+        super().__init__(address, FleetRequestHandler)
         self.auth_token = service.auth_token
         self.dispatch = service.dispatch

@@ -1,15 +1,20 @@
-"""Multi-plan scheduling: a fair-share queue of independent ledgers.
+"""Plan scheduling: a fair-share queue of independent ledgers.
 
-The single-plan :class:`~repro.distributed.coordinator.UnitLedger`
-answers one question — *which unit does this worker run next?* — for
-one plan. A long-lived service multiplexes many tenants' plans onto
-one shared worker pool, so the :class:`PlanQueue` generalises the
-ledger into a queue of them: every submitted plan becomes a
-:class:`PlanJob` with its own ledger, its own per-plan
-:class:`~repro.experiments.store.ResultsStore` (the resume/idempotency
-contract is per plan), and a keyed job id — the digest of
-``(tenant, plan payload)``, so a client retrying a submission lands on
-the job it already created instead of a duplicate.
+A :class:`~repro.distributed.coordinator.UnitLedger` answers one
+question — *which cells of this plan does this worker run next?* — for
+one plan. The :class:`PlanQueue` owns everything above that: every
+submitted plan becomes a :class:`PlanJob` with its own ledger, its own
+per-plan :class:`~repro.experiments.store.ResultsStore` (the
+resume/idempotency contract is per plan), and a keyed job id — the
+digest of ``(tenant, plan payload)``, so a client retrying a submission
+lands on the job it already created instead of a duplicate. The queue
+makes every decision that spans plans or workers: collect owed
+records, honour drains, answer ``bye``, pick the plan to grant from,
+and account each worker's wire exchanges. It is the one coordinator
+brain of the repository — the always-on service feeds it many tenants'
+plans, and a one-plan fleet run
+(:class:`~repro.distributed.coordinator.FleetExecutor`) submits a
+single plan and then :meth:`~PlanQueue.retire`\\ s the fleet.
 
 **Fair share.** Grants are arbitrated by cost-model-weighted deficit
 round-robin. Every job carries a deficit counter (predicted seconds it
@@ -180,15 +185,16 @@ class PlanJob:
 
 
 class PlanQueue:
-    """The multi-plan coordinator state: jobs, workers, fair share.
+    """The coordinator state: jobs, workers, fair share.
 
     Parameters
     ----------
     spool:
         Service state directory: ``plans/<id>.json`` (admitted
         submissions, reloaded on restart), ``stores/<id>.jsonl``
-        (per-plan results stores) and ``costs.json`` (the persisted
-        cost-model snapshot) live here.
+        (per-plan results stores, unless :meth:`submit` names another)
+        and ``costs.json`` (the persisted cost-model snapshot) live
+        here.
     lease_timeout, min_unit_cells, target_unit_seconds,
     slow_unit_factor:
         Per-plan ledger knobs, identical in meaning to
@@ -200,6 +206,9 @@ class PlanQueue:
         job are always admitted — idempotency must not bounce).
     clock:
         Monotonic time source (tests inject a fake).
+    cost_snapshot:
+        Where the shared cost model is restored from and persisted to
+        (default ``<spool>/costs.json``).
 
     Every public method takes the queue lock; per-job ledgers and
     stores have their own locks nested strictly inside it, so the
@@ -215,6 +224,7 @@ class PlanQueue:
         slow_unit_factor: float = DEFAULT_SLOW_UNIT_FACTOR,
         max_active: int = 8,
         clock=time.monotonic,
+        cost_snapshot: str | os.PathLike | None = None,
     ) -> None:
         if max_active < 1:
             raise ServiceError(
@@ -223,7 +233,11 @@ class PlanQueue:
         self.spool = Path(spool)
         (self.spool / "plans").mkdir(parents=True, exist_ok=True)
         (self.spool / "stores").mkdir(parents=True, exist_ok=True)
-        self.cost_snapshot_path = self.spool / "costs.json"
+        self.cost_snapshot_path = Path(
+            cost_snapshot
+            if cost_snapshot is not None
+            else self.spool / "costs.json"
+        )
         self.lease_timeout = float(lease_timeout)
         self.min_unit_cells = int(min_unit_cells)
         self.target_unit_seconds = float(target_unit_seconds)
@@ -239,7 +253,14 @@ class PlanQueue:
         self._jobs: dict[str, PlanJob] = {}
         self._order: list[str] = []
         self._draining: set[str] = set()
-        self._worker_seen: dict[str, float] = {}
+        # workers answered `bye`, and whether every worker is to be
+        # retired once the admitted plans are done (see retire())
+        self._retired: set[str] = set()
+        self._retiring = False
+        # per-worker wire accounting: first/last contact, every request
+        # (the cost piggybacked granting exists to cut), lease asks and
+        # next-decisions piggybacked on complete replies
+        self._contacts: dict[str, dict] = {}
         self._lock = threading.RLock()
         self._restore_spool()
 
@@ -260,6 +281,11 @@ class PlanQueue:
                     str(data.get("tenant", "default")),
                     float(data.get("priority", 1.0)),
                     trace=None,
+                    store=(
+                        ResultsStore(data["store"])
+                        if data.get("store")
+                        else None
+                    ),
                     persist=False,
                 )
             except (OSError, ValueError, KeyError, ReproError) as exc:
@@ -273,6 +299,7 @@ class PlanQueue:
         tenant: str = "default",
         priority: float = 1.0,
         trace: dict | None = None,
+        store: ResultsStore | None = None,
     ) -> tuple[PlanJob, bool]:
         """Admit a plan; returns ``(job, created)``.
 
@@ -280,6 +307,9 @@ class PlanQueue:
         existing job (``created=False``) whatever its state — the
         keyed id makes client retries free. A full queue raises
         :class:`AdmissionError` carrying the predicted drain time.
+        ``store`` is the results store the job records into (default
+        ``<spool>/stores/<id>.jsonl``); cells it already holds are
+        resumed, not re-run.
         """
         if priority <= 0:
             raise ServiceError(
@@ -305,7 +335,7 @@ class PlanQueue:
                     retry_after=retry_after,
                 )
             job = self._admit_locked(
-                plan_payload, tenant, priority, trace, persist=True
+                plan_payload, tenant, priority, trace, store, persist=True
             )
             telemetry().counter("repro_service_submissions_total").inc()
             return job, True
@@ -316,6 +346,7 @@ class PlanQueue:
         tenant: str,
         priority: float,
         trace: dict | None,
+        store: ResultsStore | None,
         persist: bool,
     ) -> PlanJob:
         try:
@@ -327,7 +358,8 @@ class PlanQueue:
             # not a service fault
             raise ServiceError(f"invalid plan payload: {exc}") from exc
         job_id = plan_job_id(plan_payload, tenant)
-        store = ResultsStore(self.spool / "stores" / f"{job_id}.jsonl")
+        if store is None:
+            store = ResultsStore(self.spool / "stores" / f"{job_id}.jsonl")
         store_lock = threading.Lock()
 
         def completed_cells() -> set[tuple[str, str, int, str]]:
@@ -342,9 +374,9 @@ class PlanQueue:
             workset,
             self.lease_timeout,
             completed_cells,
+            self.cost_model,
             clock=self.clock,
             min_unit_cells=self.min_unit_cells,
-            cost_model=self.cost_model,
             target_unit_seconds=self.target_unit_seconds,
             slow_unit_factor=self.slow_unit_factor,
         )
@@ -369,6 +401,7 @@ class PlanQueue:
                         "tenant": tenant,
                         "priority": priority,
                         "plan": plan.to_dict(),
+                        "store": str(store.path),
                     },
                     sort_keys=True,
                     indent=2,
@@ -413,10 +446,24 @@ class PlanQueue:
             return job
 
     # -- worker protocol -----------------------------------------------
+    def _contact(self, worker: str, now: float) -> dict:
+        """Count one request from ``worker``; its wire-accounting row."""
+        row = self._contacts.get(worker)
+        if row is None:
+            row = self._contacts[worker] = {
+                "first_seen": now,
+                "round_trips": 0,
+                "lease_requests": 0,
+                "piggybacked": 0,
+            }
+        row["last_seen"] = now
+        row["round_trips"] += 1
+        return row
+
     def touch(self, worker: str) -> None:
-        """Record contact from ``worker`` (service-level liveness)."""
+        """Record contact from ``worker`` (a ``hello``)."""
         with self._lock:
-            self._worker_seen[worker] = self.clock()
+            self._contact(worker, self.clock())
 
     def drain_worker(self, worker: str) -> None:
         """Gracefully retire ``worker``: it finishes leased units and
@@ -429,18 +476,40 @@ class PlanQueue:
                 extra={"worker": worker},
             )
 
+    def retire(self) -> None:
+        """Retire the whole fleet once the admitted work is done.
+
+        From now on, whenever no admitted plan is still active, every
+        worker — already known or joining later — that owes nothing is
+        answered ``bye`` instead of ``wait``. Plans still active keep
+        being served first; this is the drain lifecycle applied to
+        everyone at once, so it requeues nothing.
+        """
+        with self._lock:
+            self._retiring = True
+
+    def all_retired(self) -> bool:
+        """Whether every live worker has been answered ``bye``."""
+        with self._lock:
+            now = self.clock()
+            return all(
+                worker in self._retired
+                or now - row["last_seen"] > self.lease_timeout
+                for worker, row in self._contacts.items()
+            )
+
     def lease(self, worker: str) -> dict:
         """Answer one work request across all plans (the DRR pick)."""
         with self._lock:
             now = self.clock()
-            self._worker_seen[worker] = now
+            self._contact(worker, now)["lease_requests"] += 1
             return self._decide_locked(worker, now)
 
     def heartbeat(
         self, worker: str, plan_id, lease_id, info: dict | None = None
     ) -> dict:
         with self._lock:
-            self._worker_seen[worker] = self.clock()
+            self._contact(worker, self.clock())
             job = self._jobs.get(plan_id)
             if job is None:
                 return {"type": "expired"}
@@ -456,11 +525,11 @@ class PlanQueue:
     ) -> dict:
         """Handle a unit completion; the reply always piggybacks the
         worker's next decision (``next``) — across *all* plans, which
-        is what keeps a steady-state service worker at one round-trip
-        per unit even when its next unit belongs to another tenant."""
+        is what keeps a steady-state worker at one round-trip per unit
+        even when its next unit belongs to another tenant."""
         with self._lock:
             now = self.clock()
-            self._worker_seen[worker] = now
+            self._contact(worker, now)["piggybacked"] += 1
             job = self._jobs.get(plan_id)
             drained = False
             if job is not None and isinstance(records, list):
@@ -478,11 +547,7 @@ class PlanQueue:
                 reply = {"type": "stale"}
             else:
                 reply = job.ledger.complete(
-                    worker,
-                    lease_id,
-                    info,
-                    drained=drained,
-                    grant_next=False,
+                    worker, lease_id, info, drained=drained
                 )
             reply["next"] = self._decide_locked(worker, now)
             return reply
@@ -494,7 +559,7 @@ class PlanQueue:
         if not isinstance(records, list):
             raise FleetError("records message without a record list")
         with self._lock:
-            self._worker_seen[worker] = self.clock()
+            self._contact(worker, self.clock())
             job = self._jobs.get(plan_id)
             if job is None:
                 # e.g. a drain for a plan cancelled out from under the
@@ -521,10 +586,10 @@ class PlanQueue:
 
     # -- the scheduling core -------------------------------------------
     def _decide_locked(self, worker: str, now: float) -> dict:
-        """The multi-plan lease decision (queue lock held).
+        """The lease decision (queue lock held).
 
-        Order of business mirrors the single-plan ledger: collect owed
-        records first, honour drains, then the fair-share grant.
+        Order of business: collect owed records first, honour drains
+        and retirement, then the fair-share grant.
         """
         self._housekeep_locked()
         for job_id in self._order:
@@ -533,7 +598,10 @@ class PlanQueue:
                 worker
             ):
                 return {"type": "drain", "plan_id": job.id}
-        if worker in self._draining:
+        if worker in self._draining or (
+            self._retiring
+            and not any(j.state == "active" for j in self._jobs.values())
+        ):
             if any(
                 self._jobs[j].ledger.holds_lease(worker)
                 for j in self._order
@@ -541,6 +609,7 @@ class PlanQueue:
                 # only reachable when a retried ask races its own
                 # lease; the safe answer is always "come back"
                 return {"type": "wait"}
+            self._retired.add(worker)
             return {"type": "bye"}
         candidates = [
             self._jobs[j]
@@ -549,8 +618,8 @@ class PlanQueue:
             and self._jobs[j].ledger.grantable()
         ]
         if not candidates:
-            # an always-on service never says "done": new plans may
-            # arrive any moment, so idle workers just poll
+            # new plans may arrive any moment (and leased units may
+            # still requeue), so idle workers just poll
             return {"type": "wait"}
         job = max(candidates, key=lambda j: (j.deficit, -j.index))
         reply = job.ledger.lease(worker)
@@ -674,8 +743,8 @@ class PlanQueue:
             now = self.clock()
             live = [
                 w
-                for w, seen in self._worker_seen.items()
-                if now - seen <= self.lease_timeout
+                for w, row in self._contacts.items()
+                if now - row["last_seen"] <= self.lease_timeout
                 and w not in self._draining
             ]
             return total / max(len(live), 1)
@@ -692,19 +761,62 @@ class PlanQueue:
             return [self._jobs[j] for j in self._order]
 
     def workers(self) -> dict[str, dict]:
-        """Service-level worker view (liveness + drain state)."""
+        """Per-worker view across every plan: busy/idle split over the
+        worker's membership span (first to last contact), the plans'
+        unit/cell/lease accounting summed, the wire accounting, and
+        liveness + drain state.
+
+        ``busy_seconds`` is the worker's own cumulative report, so it
+        is the max over plans; ``throughput`` is cells per second over
+        all the plans it ran.
+        """
         with self._lock:
             now = self.clock()
-            return {
-                w: {
-                    "live": now - seen <= self.lease_timeout,
-                    "draining": w in self._draining,
+            per_plan = [
+                self._jobs[j].ledger.worker_stats() for j in self._order
+            ]
+            out: dict[str, dict] = {}
+            for worker in sorted(self._contacts):
+                contact = self._contacts[worker]
+                rows = [s[worker] for s in per_plan if worker in s]
+                busy_seconds = max(
+                    (r["busy_seconds"] for r in rows), default=0.0
+                )
+                span = max(contact["last_seen"] - contact["first_seen"], 0.0)
+                busy = min(busy_seconds, span) if span > 0 else 0.0
+                measured = [r for r in rows if r["throughput"]]
+                cells = sum(r["cells"] for r in measured)
+                seconds = sum(r["cells"] / r["throughput"] for r in measured)
+                out[worker] = {
+                    **{
+                        key: sum(r[key] for r in rows)
+                        for key in (
+                            "leases",
+                            "units",
+                            "cells",
+                            "records",
+                            "lease_seconds",
+                            "completes",
+                            "drains",
+                        )
+                    },
+                    "busy_seconds": busy_seconds,
+                    "idle_seconds": max(span - busy, 0.0),
+                    "span_seconds": span,
+                    "utilization": (busy / span) if span > 0 else None,
+                    "throughput": cells / seconds if seconds > 0 else None,
+                    "round_trips": contact["round_trips"],
+                    "lease_requests": contact["lease_requests"],
+                    "piggybacked": contact["piggybacked"],
+                    "live": now - contact["last_seen"] <= self.lease_timeout,
+                    "draining": worker in self._draining,
                 }
-                for w, seen in sorted(self._worker_seen.items())
-            }
+            return out
 
     def status(self) -> dict:
-        """The service-wide snapshot (``status`` message, ``/status``)."""
+        """The coordinator snapshot (``status`` message, ``/status``):
+        one entry per plan, the per-worker view, admission state and
+        the shared cost model."""
         with self._lock:
             self._housekeep_locked()
             active = [
@@ -712,7 +824,6 @@ class PlanQueue:
             ]
             return {
                 "type": "status",
-                "service": True,
                 "plans": [
                     self._jobs[j].snapshot() for j in self._order
                 ],

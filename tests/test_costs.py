@@ -373,7 +373,7 @@ class TestCostSnapshotPersistence:
                 target=run_worker,
                 args=(address,),
                 kwargs={
-                    "store_path": tmp_path / "worker.jsonl",
+                    "store_path": tmp_path / "worker",
                     "worker_id": "snapshot-w0",
                 },
             )

@@ -21,6 +21,7 @@ import multiprocessing
 import os
 import socket
 import threading
+import time
 
 import pytest
 
@@ -32,7 +33,6 @@ from repro.distributed import (
     ProcessShardExecutor,
     UnitLedger,
     parse_address,
-    pending_group_indices,
     run_worker,
     shard_assignments,
 )
@@ -55,6 +55,7 @@ from repro.experiments import (
     record_key,
 )
 from repro.experiments.store import HAS_APPEND_LOCK, parity_view
+from repro.service import PlanQueue, ServiceCoordinator, plan_job_id
 
 needs_fork = pytest.mark.skipif(
     not HAS_APPEND_LOCK
@@ -196,10 +197,13 @@ class TestShardAssignments:
 class TestExecutorSeam:
     def test_pending_group_indices(self, tmp_path):
         plan = _plan()
-        assert pending_group_indices(plan, set()) == [0, 1]
+
+        def pending(done):
+            return [u.group for u in WorkSet.compile(plan, done).pending()]
+
+        assert pending(set()) == [0, 1]
         (_, keys0), _ = plan.groups()
-        done = {k.as_tuple() for k in keys0}
-        assert pending_group_indices(plan, done) == [1]
+        assert pending({k.as_tuple() for k in keys0}) == [1]
 
     def test_shards_and_executor_are_exclusive(self):
         with pytest.raises(ReproError, match="not both"):
@@ -236,6 +240,7 @@ class TestUnitLedger:
             WorkSet.compile(_plan(), set()),
             lease_timeout=5.0,
             completed_cells=lambda: set(covered),
+            cost_model=UnitCostModel(),
             clock=lambda: clock[0],
             min_unit_cells=min_unit_cells,
         )
@@ -302,32 +307,34 @@ class TestUnitLedger:
 
     def test_last_pending_unit_splits_for_an_asking_worker(self):
         """Work stealing: one big group spreads over every asker by
-        halving the last pending unit down to the min_unit_cells floor."""
+        carving pieces off the last pending unit, down to the
+        min_unit_cells floor."""
         plan = _one_group_plan(n_seeds=4)  # 8 cells, one group
         clock = [0.0]
         ledger = UnitLedger(
             WorkSet.compile(plan, set()),
             lease_timeout=5.0,
             completed_cells=set,
+            cost_model=UnitCostModel(),
             clock=lambda: clock[0],
             min_unit_cells=1,
         )
-        sizes = []
         grants = []
-        for worker in ("w1", "w2", "w3", "w4"):
-            grant = ledger.lease(worker)
-            assert grant["type"] == "unit"
+        while True:
+            grant = ledger.lease(f"w{len(grants)}")
+            if grant["type"] != "unit":
+                break
             grants.append(grant)
-            sizes.append(len(grant["unit"]["cells"]))
-        # every asker got work from the single group: 4, 2, 1, 1
-        assert sizes == [4, 2, 1, 1]
-        assert ledger.steals == 3
-        # the four leases tile the group exactly — no loss, no overlap
+        # every asker got work from the single group, never all of it
+        assert len(grants) >= 4
+        assert all(len(g["unit"]["cells"]) < plan.n_runs for g in grants)
+        assert ledger.steals == len(grants) - 1
+        # the leases tile the group exactly — no loss, no overlap
         cells = [tuple(c) for g in grants for c in g["unit"]["cells"]]
         assert sorted(cells) == sorted(k.as_tuple() for k in plan.runs())
         assert len(set(cells)) == len(cells)
         # everything is leased: a further asker waits
-        assert ledger.lease("w5") == {"type": "wait"}
+        assert grant == {"type": "wait"}
 
     def test_min_unit_cells_zero_keeps_whole_group_leases(self):
         plan = _one_group_plan(n_seeds=4)
@@ -335,6 +342,7 @@ class TestUnitLedger:
             WorkSet.compile(plan, set()),
             lease_timeout=5.0,
             completed_cells=set,
+            cost_model=UnitCostModel(),
             min_unit_cells=0,
         )
         grant = ledger.lease("w1")
@@ -356,6 +364,7 @@ class TestUnitLedger:
             WorkSet.compile(plan, set()),
             lease_timeout=5.0,
             completed_cells=lambda: set(covered),
+            cost_model=UnitCostModel(),
             clock=lambda: clock[0],
             min_unit_cells=0,
         )
@@ -420,7 +429,6 @@ def _run_fleet(
     targets,
     lease_timeout,
     timeout=180.0,
-    scheduling="cost",
 ):
     """Run a fleet of worker processes against a loopback coordinator."""
     procs: list = []
@@ -429,7 +437,7 @@ def _run_fleet(
         for i, target in enumerate(targets):
             proc = _FORK.Process(
                 target=target,
-                args=(address, str(tmp_path / f"worker{i}.jsonl")),
+                args=(address, str(tmp_path / f"worker{i}")),
             )
             proc.start()
             procs.append(proc)
@@ -438,7 +446,6 @@ def _run_fleet(
         lease_timeout=lease_timeout,
         poll_interval=0.05,
         timeout=timeout,
-        scheduling=scheduling,
         on_bound=on_bound,
     )
     try:
@@ -515,21 +522,20 @@ class TestExecutorParity:
 
 @needs_fork
 class TestFleetFailureRecovery:
-    @pytest.mark.parametrize("scheduling", ["cost", "halving"])
     @pytest.mark.parametrize(
         "dier",
         [_worker_dying_mid_group, _worker_dying_after_complete],
         ids=["killed-mid-group", "killed-after-complete-undrained"],
     )
     def test_killed_worker_requeues_and_completes(
-        self, dier, scheduling, inline_store, tmp_path
+        self, dier, inline_store, tmp_path
     ):
         """Acceptance: a fleet run with one worker killed mid-run
         completes after lease-timeout requeue with zero lost or
-        duplicated (system, case, seed, backend) cells — under both
-        scheduling policies (under cost/piggyback the after-complete
-        death is lossless for the *reported* unit, but the dier also
-        abandons its piggybacked next lease, which must requeue)."""
+        duplicated (system, case, seed, backend) cells (the
+        after-complete death is lossless for the *reported* unit, whose
+        records rode the report, but the dier also abandons its
+        piggybacked next lease, which must requeue)."""
         plan = _plan()
         store = ResultsStore(tmp_path / "fleet.jsonl")
         result, executor, procs = _run_fleet(
@@ -541,7 +547,6 @@ class TestFleetFailureRecovery:
                 lambda addr, path: _worker(addr, path, "survivor"),
             ],
             lease_timeout=2.0,
-            scheduling=scheduling,
         )
         assert executor.requeues >= 1
         exit_codes = sorted(p.exitcode for p in procs)
@@ -566,7 +571,7 @@ class TestFleetFailureRecovery:
 
 # ----------------------------------------------------------------------
 # Worker against an in-thread coordinator (no subprocess): CLI-free
-# round-trip of the welcome payload, including per-system budgets.
+# round-trip of the plan payload, including per-system budgets.
 # ----------------------------------------------------------------------
 class TestWorkerInThread:
     def test_worker_receives_plan_and_budgets_over_the_wire(self, tmp_path):
@@ -581,7 +586,7 @@ class TestWorkerInThread:
             summary_box.update(
                 run_worker(
                     address,
-                    store_path=tmp_path / "worker.jsonl",
+                    store_path=tmp_path / "worker",
                     worker_id="in-thread",
                 )
             )
@@ -624,7 +629,6 @@ def _run_thread_fleet(
     min_unit_cells=1,
     auth_token=None,
     worker_tokens=None,
-    scheduling="cost",
     worker_throttles=None,
 ):
     """In-thread fleet: N run_worker threads against a loopback
@@ -662,7 +666,6 @@ def _run_thread_fleet(
         poll_interval=0.05,
         timeout=timeout,
         min_unit_cells=min_unit_cells,
-        scheduling=scheduling,
         auth_token=auth_token,
         on_bound=on_bound,
     )
@@ -693,13 +696,13 @@ class TestCellLeasing:
         result, executor, summaries, errors = _run_thread_fleet(
             plan,
             store,
-            [tmp_path / f"w{i}.jsonl" for i in range(4)],
+            [tmp_path / f"w{i}" for i in range(4)],
         )
         assert errors == []
         assert len(summaries) == 4
         assert all(s["units"] >= 1 for s in summaries), summaries
         assert sum(s["records"] for s in summaries) == plan.n_runs
-        assert executor.steals >= 3  # 16 cells halved across 4 askers
+        assert executor.steals >= 3  # 16 cells carved for 4 askers
         assert len(result.records) == plan.n_runs
         assert _sorted_normalized(store) == _sorted_normalized(inline)
 
@@ -711,7 +714,7 @@ class TestCellLeasing:
         ExperimentRunner(store=inline).run(plan)
         store = ResultsStore(tmp_path / "fleet.jsonl")
         result, executor, summaries, errors = _run_thread_fleet(
-            plan, store, [tmp_path / "w0.jsonl", tmp_path / "w1.jsonl"]
+            plan, store, [tmp_path / "w0", tmp_path / "w1"]
         )
         assert errors == []
         # the first ask always splits the lone pending unit: a steal
@@ -738,7 +741,7 @@ class TestMixedGranularityResume:
             if record_key(record) in done:
                 store.append(record)
         result, executor, summaries, errors = _run_thread_fleet(
-            plan, store, [tmp_path / "w0.jsonl", tmp_path / "w1.jsonl"]
+            plan, store, [tmp_path / "w0", tmp_path / "w1"]
         )
         assert errors == []
         assert result.n_resumed == len(done)
@@ -780,7 +783,7 @@ class TestFleetAuth:
         result, executor, summaries, errors = _run_thread_fleet(
             plan,
             store,
-            [tmp_path / "w0.jsonl"],
+            [tmp_path / "w0"],
             auth_token="fleet-secret",
         )
         assert errors == []
@@ -795,7 +798,7 @@ class TestFleetAuth:
             _run_thread_fleet(
                 plan,
                 store,
-                [tmp_path / "w0.jsonl"],
+                [tmp_path / "w0"],
                 timeout=3.0,
                 lease_timeout=1.0,
                 auth_token="fleet-secret",
@@ -815,7 +818,7 @@ class TestFleetAuth:
                 try:
                     run_worker(
                         address,
-                        store_path=tmp_path / "w.jsonl",
+                        store_path=tmp_path / "w",
                         worker_id="intruder",
                         auth_token="WRONG",
                         max_failures=1000,  # an auth error must not retry
@@ -911,6 +914,13 @@ class TestFleetAuth:
 class TestWorkerStoreHygiene:
     """A reused worker-local store is held to the store contracts."""
 
+    @staticmethod
+    def _plan_store(store_dir, plan) -> ResultsStore:
+        """The worker-local store a fleet serving ``plan`` resumes:
+        ``<store dir>/<plan_id>.jsonl``."""
+        plan_id = plan_job_id(plan.to_dict(), "default")
+        return ResultsStore(store_dir / f"{plan_id}.jsonl")
+
     def _run_in_thread_fleet(
         self, plan, coord_store, worker_store, timeout, worker_errors=None
     ):
@@ -949,7 +959,8 @@ class TestWorkerStoreHygiene:
         """Regression: a worker store holding cells of other plans must
         not pollute the coordinator's results artifact on drain."""
         plan = _plan(cases=(CaseSpec("grassland", size=20, steps=2),))
-        worker_store = ResultsStore(tmp_path / "worker.jsonl")
+        worker_dir = tmp_path / "worker"
+        worker_store = self._plan_store(worker_dir, plan)
         foreign = {
             "plan": "last-week",
             "system": "ess",
@@ -964,7 +975,7 @@ class TestWorkerStoreHygiene:
         worker_store.append(foreign)
         coord_store = ResultsStore(tmp_path / "coord.jsonl")
         result, worker_errors = self._run_in_thread_fleet(
-            plan, coord_store, worker_store.path, timeout=120.0
+            plan, coord_store, worker_dir, timeout=120.0
         )
         assert worker_errors == []
         assert len(result.records) == plan.n_runs
@@ -977,14 +988,16 @@ class TestWorkerStoreHygiene:
         per-system config-digest check — a store recorded under another
         budget is refused instead of silently served."""
         plan_old = _plan(cases=(CaseSpec("grassland", size=20, steps=2),))
-        worker_store = ResultsStore(tmp_path / "worker.jsonl")
-        ExperimentRunner(store=worker_store).run(plan_old)
         rebudgeted = _plan(
             cases=(CaseSpec("grassland", size=20, steps=2),),
             budget=BudgetSpec(
                 population=8, generations=3, session_cache_size=2048
             ),
         )
+        # the rebudgeted plan's store file holds the old budget's cells
+        worker_dir = tmp_path / "worker"
+        worker_store = self._plan_store(worker_dir, rebudgeted)
+        ExperimentRunner(store=worker_store).run(plan_old)
         coord_store = ResultsStore(tmp_path / "coord.jsonl")
         worker_errors: list[Exception] = []
         with pytest.raises(FleetError, match="timed out"):
@@ -992,7 +1005,7 @@ class TestWorkerStoreHygiene:
             self._run_in_thread_fleet(
                 rebudgeted,
                 coord_store,
-                worker_store.path,
+                worker_dir,
                 timeout=4.0,
                 worker_errors=worker_errors,
             )
@@ -1010,6 +1023,7 @@ class TestFleetTelemetry:
             WorkSet.compile(_plan(), set()),
             lease_timeout=5.0,
             completed_cells=lambda: set(covered),
+            cost_model=UnitCostModel(),
             clock=lambda: clock[0],
             min_unit_cells=0,
         )
@@ -1072,84 +1086,55 @@ class TestFleetTelemetry:
         assert st["idle_seconds"] == 0.0  # but never negative idle
         assert st["utilization"] == pytest.approx(1.0)  # clamped to span
 
-    def _server(self, tmp_path, covered: set | None = None):
-        from repro.distributed.coordinator import _CoordinatorServer
-
+    def _coordinator(self, tmp_path):
+        """A one-plan queue behind a (not yet started) coordinator."""
         plan = _plan()
-        workset = WorkSet.compile(plan, set())
-        ledger = UnitLedger(
-            workset,
-            lease_timeout=5.0,
-            completed_cells=lambda: set(covered or set()),
-        )
-        store = ResultsStore(tmp_path / "coord.jsonl")
-        return (
-            _CoordinatorServer(
-                ("127.0.0.1", 0),
-                ledger=ledger,
-                workset=workset,
-                store=store,
-                store_lock=threading.Lock(),
-                share_sessions=True,
-                poll_interval=0.05,
-            ),
-            plan,
-            store,
-        )
+        queue = PlanQueue(tmp_path / "spool", lease_timeout=5.0)
+        job, _ = queue.submit(plan.to_dict())
+        return queue, ServiceCoordinator(queue), job, plan
 
     def test_status_dispatch_is_read_only(self, tmp_path):
         """The status snapshot reports progress without registering the
         asker as a worker — probing a fleet must never extend its
         shutdown linger."""
-        server, plan, store = self._server(tmp_path)
-        try:
-            ledger = server.ledger
-            grant = ledger.lease("w1")
-            ledger.complete("w1", grant["lease"], {"records": 2})
-            reply = server.dispatch({"type": "status", "worker": "probe"})
-            assert reply["type"] == "status"
-            assert reply["plan"] == plan.name
-            assert reply["expected_cells"] == plan.n_runs
-            assert reply["recorded_cells"] == 0  # store still empty
-            assert reply["finished"] is False
-            assert reply["progress"]["workers"] == 1  # w1, not the probe
-            assert set(reply["workers"]) == {"w1"}
-            assert reply["workers"]["w1"]["units"] == 1
-        finally:
-            server.server_close()
+        queue, coordinator, job, plan = self._coordinator(tmp_path)
+        grant = queue.lease("w1")
+        queue.complete("w1", job.id, grant["lease"], {"records": 2})
+        reply = coordinator.dispatch({"type": "status", "worker": "probe"})
+        assert reply["type"] == "status"
+        [entry] = reply["plans"]
+        assert entry["plan"] == plan.name
+        assert entry["expected_cells"] == plan.n_runs
+        assert entry["recorded_cells"] == 0  # store still empty
+        assert entry["status"] == "running"
+        assert entry["progress"]["workers"] == 1  # w1, not the probe
+        assert set(reply["workers"]) == {"w1"}
+        assert reply["workers"]["w1"]["units"] == 1
+        assert queue.all_retired() is False  # the probe is no worker
 
     def test_status_counts_only_this_plans_recorded_cells(self, tmp_path):
-        server, plan, store = self._server(tmp_path)
-        try:
-            record = {
-                "system": "ess",
-                "case": "grassland",
-                "seed": 0,
-                "backend": "vectorized",
-                "run": {"steps": []},
-            }
-            store.append(record)
-            store.append({**record, "case": "other-plan-case"})
-            reply = server.dispatch({"type": "status"})
-            assert reply["recorded_cells"] == 1
-            assert reply["expected_cells"] == plan.n_runs
-        finally:
-            server.server_close()
+        queue, coordinator, job, plan = self._coordinator(tmp_path)
+        record = {
+            "system": "ess",
+            "case": "grassland",
+            "seed": 0,
+            "backend": "vectorized",
+            "run": {"steps": []},
+        }
+        job.store.append(record)
+        job.store.append({**record, "case": "other-plan-case"})
+        [entry] = coordinator.dispatch({"type": "status"})["plans"]
+        assert entry["recorded_cells"] == 1
+        assert entry["expected_cells"] == plan.n_runs
 
     def test_status_cli_against_a_live_coordinator(self, tmp_path, capsys):
         """`repro experiments status` end to end over the real socket."""
         from repro.cli import main
 
-        server, plan, _ = self._server(tmp_path)
-        thread = threading.Thread(
-            target=server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
-        )
-        thread.start()
+        queue, coordinator, job, plan = self._coordinator(tmp_path)
+        host, port = coordinator.start()
         try:
-            server.ledger.lease("w1")
-            host, port = server.server_address[:2]
+            queue.lease("w1")
             assert (
                 main(
                     ["experiments", "status", "--connect", f"{host}:{port}"]
@@ -1158,14 +1143,12 @@ class TestFleetTelemetry:
             )
             out = capsys.readouterr().out
             assert plan.name in out
-            assert f"0/{plan.n_runs} cells recorded" in out
+            assert f"0/{plan.n_runs} cells recorded (running)" in out
             assert "w1" in out
             # the probe itself never became a worker
-            assert server.ledger.progress()["workers"] == 1
+            assert set(queue.workers()) == {"w1"}
         finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+            coordinator.close()
 
     def test_status_cli_fails_cleanly_without_a_coordinator(self):
         from repro.cli import main
@@ -1186,7 +1169,7 @@ class TestFleetTelemetry:
 # Cost-aware scheduling: the predictive grant path of the unit ledger
 # ----------------------------------------------------------------------
 class TestCostLedger:
-    """Deterministic (fake-clock) coverage of the cost-mode grant path:
+    """Deterministic (fake-clock) coverage of the grant path:
     probe-first sizing, throughput-proportional leases, piggybacked
     granting, fragment re-merge, and snapshot determinism."""
 
@@ -1202,11 +1185,20 @@ class TestCostLedger:
             WorkSet.compile(plan or _one_group_plan(n_seeds=8), set()),
             lease_timeout=5.0,
             completed_cells=lambda: set(covered),
+            cost_model=model or UnitCostModel(),
             clock=lambda: clock[0],
             min_unit_cells=1,
-            cost_model=model or UnitCostModel(),
             target_unit_seconds=target_unit_seconds,
         )
+
+    @staticmethod
+    def _queue(tmp_path, clock: list):
+        """A one-plan queue (the fleet's coordinator brain)."""
+        queue = PlanQueue(
+            tmp_path / "spool", lease_timeout=5.0, clock=lambda: clock[0]
+        )
+        queue.submit(_one_group_plan(n_seeds=8).to_dict())
+        return queue
 
     def test_unknown_worker_gets_a_probe_lease(self):
         """A worker with no measured throughput gets a small probe (a
@@ -1240,38 +1232,34 @@ class TestCostLedger:
         assert stats["w1"]["throughput"] == pytest.approx(4.0)
         assert stats["w2"]["throughput"] == pytest.approx(1.0)
 
-    def test_piggybacked_complete_carries_the_next_lease(self):
-        """complete(drained=True, grant_next=True) collapses
-        complete -> drain -> lease into one exchange and the round-trip
-        accounting shows it."""
+    def test_piggybacked_complete_carries_the_next_lease(self, tmp_path):
+        """A complete carrying its records inline gets the next lease
+        on the reply: complete -> drain -> lease collapse into one
+        exchange, and the round-trip accounting shows it."""
         clock = [0.0]
-        ledger = self._ledger(set(), clock)
-        grant = ledger.lease("w1")
-        reply = ledger.complete(
-            "w1",
-            grant["lease"],
-            {"unit_seconds": 0.5},
-            drained=True,
-            grant_next=True,
+        queue = self._queue(tmp_path, clock)
+        grant = queue.lease("w1")
+        reply = queue.complete(
+            "w1", grant["plan_id"], grant["lease"], {"unit_seconds": 0.5}, []
         )
         assert reply["type"] == "ok"
         assert reply["next"]["type"] == "unit"
-        st = ledger.worker_stats()["w1"]
+        st = queue.workers()["w1"]
         assert st["lease_requests"] == 1  # only the explicit ask
         assert st["piggybacked"] == 1
         assert st["completes"] == 1
         assert st["drains"] == 0  # the drain rode the complete
         assert st["round_trips"] == 2
 
-    def test_stale_complete_still_grants_next(self):
+    def test_stale_complete_still_grants_next(self, tmp_path):
         """A worker whose lease expired still wants work: ``next``
         rides the stale reply too."""
         clock = [0.0]
-        ledger = self._ledger(set(), clock)
-        grant = ledger.lease("w1")
+        queue = self._queue(tmp_path, clock)
+        grant = queue.lease("w1")
         clock[0] = 20.0  # lease long dead
-        reply = ledger.complete(
-            "w1", grant["lease"], drained=True, grant_next=True
+        reply = queue.complete(
+            "w1", grant["plan_id"], grant["lease"], None, []
         )
         assert reply["type"] == "stale"
         assert reply["next"]["type"] == "unit"
@@ -1314,14 +1302,10 @@ class TestCostLedger:
             ledger.complete(
                 "w1", g1["lease"], {"unit_seconds": 0.5}, drained=True
             )
-            reply = ledger.complete(
-                "w2",
-                g2["lease"],
-                {"unit_seconds": 2.0},
-                drained=True,
-                grant_next=True,
+            ledger.complete(
+                "w2", g2["lease"], {"unit_seconds": 2.0}, drained=True
             )
-            grants.append(reply["next"]["unit"])
+            grants.append(ledger.lease("w2")["unit"])
             grants.append(ledger.lease("w1")["unit"])
             transcripts.append(grants)
         assert transcripts[0] == transcripts[1]
@@ -1329,16 +1313,12 @@ class TestCostLedger:
     def test_target_unit_seconds_must_be_positive(self):
         with pytest.raises(FleetError, match="target_unit_seconds"):
             self._ledger(set(), [0.0], target_unit_seconds=0.0)
-        with pytest.raises(FleetError, match="scheduling"):
-            FleetExecutor(scheduling="bogus")
-        with pytest.raises(ReproError, match="scheduling"):
-            ProcessShardExecutor(2, scheduling="bogus")
 
 
 class TestCostFleetEndToEnd:
-    """Thread fleets under the default cost scheduling: piggybacked
-    round-trips happen, legacy halving still works, and a throttled
-    worker receives proportionally fewer cells — all bitwise-clean."""
+    """Thread fleets under cost-aware scheduling: piggybacked
+    round-trips happen, and a throttled worker receives proportionally
+    fewer cells — all bitwise-clean."""
 
     def test_cost_fleet_piggybacks_and_matches_inline(self, tmp_path):
         plan = _one_group_plan(n_seeds=8)
@@ -1346,34 +1326,20 @@ class TestCostFleetEndToEnd:
         ExperimentRunner(store=inline).run(plan)
         store = ResultsStore(tmp_path / "fleet.jsonl")
         result, executor, summaries, errors = _run_thread_fleet(
-            plan, store, [tmp_path / f"w{i}.jsonl" for i in range(2)]
+            plan, store, [tmp_path / f"w{i}" for i in range(2)]
         )
         assert errors == []
         stats = executor.worker_stats
+        assert set(stats) == {"thread-w0", "thread-w1"}
         assert sum(s["piggybacked"] for s in stats.values()) >= 1
         # every completion was reported, none needed a separate drain
         # round-trip afterwards
         assert all(s["drains"] == 0 for s in stats.values()), stats
-        assert all(s["round_trips"] >= 1 for s in stats.values())
-        assert _sorted_normalized(store) == _sorted_normalized(inline)
-
-    def test_halving_fleet_still_matches_inline(self, tmp_path):
-        """scheduling="halving" keeps the PR 6 behaviour end to end:
-        no piggybacking, explicit drains, identical records."""
-        plan = _one_group_plan(n_seeds=4)
-        inline = ResultsStore(tmp_path / "inline.jsonl")
-        ExperimentRunner(store=inline).run(plan)
-        store = ResultsStore(tmp_path / "fleet.jsonl")
-        result, executor, summaries, errors = _run_thread_fleet(
-            plan,
-            store,
-            [tmp_path / f"w{i}.jsonl" for i in range(2)],
-            scheduling="halving",
+        # hello + at least one lease ask or complete each
+        assert all(s["round_trips"] >= 2 for s in stats.values()), stats
+        assert sum(s["completes"] for s in stats.values()) == sum(
+            s["units"] for s in summaries
         )
-        assert errors == []
-        stats = executor.worker_stats
-        assert sum(s["piggybacked"] for s in stats.values()) == 0
-        assert sum(s["drains"] for s in stats.values()) >= 1
         assert _sorted_normalized(store) == _sorted_normalized(inline)
 
     def test_heterogeneous_fleet_respects_capacity(self, tmp_path):
@@ -1389,7 +1355,7 @@ class TestCostFleetEndToEnd:
         result, executor, summaries, errors = _run_thread_fleet(
             plan,
             store,
-            [tmp_path / f"w{i}.jsonl" for i in range(3)],
+            [tmp_path / f"w{i}" for i in range(3)],
             worker_throttles={0: 0.5},  # +0.5 s per cell on worker 0
         )
         assert errors == []
@@ -1411,3 +1377,122 @@ class TestCostFleetEndToEnd:
         monkeypatch.delenv("REPRO_WORKER_THROTTLE")
         with pytest.raises(FleetError, match="throttle"):
             run_worker(("127.0.0.1", 9), throttle=-0.1)
+
+
+# ----------------------------------------------------------------------
+# The fleet finish path: a recorded plan retires its fleet with `bye`
+# ----------------------------------------------------------------------
+def _fake_record(cell) -> dict:
+    system, case, seed, backend = cell
+    return {
+        "system": system,
+        "case": case,
+        "seed": seed,
+        "backend": backend,
+        "run": {"steps": []},
+    }
+
+
+class TestFleetFinish:
+    def test_recorded_plan_retires_every_worker_through_bye(self, tmp_path):
+        """Once the plan is recorded every worker returns through
+        ``bye`` (run_worker has no other normal exit) with zero cells
+        requeued — and promptly: the coordinator stops lingering as
+        soon as every live worker has heard ``bye``, long before the
+        lease-timeout bound."""
+        plan = _one_group_plan(n_seeds=3)
+        store = ResultsStore(tmp_path / "fleet.jsonl")
+        lease_timeout = 30.0
+        started = time.monotonic()
+        result, executor, summaries, errors = _run_thread_fleet(
+            plan,
+            store,
+            [tmp_path / f"w{i}" for i in range(3)],
+            lease_timeout=lease_timeout,
+        )
+        assert time.monotonic() - started < lease_timeout
+        assert errors == []
+        assert len(summaries) == 3
+        assert executor.requeues == 0
+        assert len(result.records) == plan.n_runs
+        assert sum(s["records"] for s in summaries) == plan.n_runs
+
+    def test_late_joiner_is_answered_bye_by_a_retired_queue(self, tmp_path):
+        """Scripted: while the plan runs an idle worker waits; once it
+        is recorded, every ask — including a newcomer's — is ``bye``."""
+        plan = _plan(cases=(CaseSpec("grassland", size=20, steps=2),))
+        clock = [0.0]
+        queue = PlanQueue(
+            tmp_path / "spool", lease_timeout=5.0, clock=lambda: clock[0]
+        )
+        job, _ = queue.submit(plan.to_dict())
+        queue.retire()
+        grants = [queue.lease("w1"), queue.lease("w2")]
+        assert [g["type"] for g in grants] == ["unit", "unit"]
+        assert queue.lease("idle") == {"type": "wait"}  # plan still runs
+        reply = queue.complete(
+            "w1",
+            job.id,
+            grants[0]["lease"],
+            None,
+            [_fake_record(c) for c in grants[0]["unit"]["cells"]],
+        )
+        assert reply["next"] == {"type": "wait"}  # w2 still holds a lease
+        reply = queue.complete(
+            "w2",
+            job.id,
+            grants[1]["lease"],
+            None,
+            [_fake_record(c) for c in grants[1]["unit"]["cells"]],
+        )
+        assert job.status() == "done"
+        assert reply["next"] == {"type": "bye"}
+        assert not queue.all_retired()  # w1 and "idle" not told yet
+        assert queue.lease("w1") == {"type": "bye"}
+        assert queue.lease("idle") == {"type": "bye"}
+        assert queue.all_retired()
+        queue.touch("late")
+        assert not queue.all_retired()
+        assert queue.lease("late") == {"type": "bye"}
+        assert queue.all_retired()
+        assert job.ledger.requeues == 0
+
+    def test_worker_saying_hello_after_the_plan_finished_hears_bye(
+        self, tmp_path
+    ):
+        """Over the wire: a worker that joins a retired coordinator
+        whose plan is already recorded exits at once through ``bye``
+        instead of polling ``wait`` forever."""
+        plan = _plan(cases=(CaseSpec("grassland", size=20, steps=2),))
+        queue = PlanQueue(tmp_path / "spool", lease_timeout=10.0)
+        job, _ = queue.submit(plan.to_dict())
+        queue.retire()
+        coordinator = ServiceCoordinator(queue, poll_interval=0.05)
+        address = coordinator.start()
+        summaries: list[dict] = []
+
+        def work(worker_id: str) -> None:
+            summaries.append(
+                run_worker(
+                    address,
+                    store_path=tmp_path / worker_id,
+                    worker_id=worker_id,
+                )
+            )
+
+        try:
+            first = threading.Thread(target=work, args=("first",))
+            first.start()
+            first.join(timeout=120)
+            assert not first.is_alive()
+            assert job.status() == "done"
+            late = threading.Thread(target=work, args=("late",))
+            late.start()
+            late.join(timeout=30)
+            assert not late.is_alive(), "the late joiner never heard bye"
+        finally:
+            coordinator.close()
+        by_worker = {s["worker"]: s for s in summaries}
+        assert by_worker["first"]["records"] == plan.n_runs
+        assert by_worker["late"]["units"] == 0
+        assert queue.all_retired()

@@ -416,7 +416,7 @@ class TestInstrumentationParity:
             summaries.append(
                 run_worker(
                     address,
-                    store_path=str(tmp_path / f"w{index}.jsonl"),
+                    store_path=str(tmp_path / f"w{index}"),
                     worker_id=f"obs-w{index}",
                 )
             )
@@ -450,8 +450,8 @@ class TestInstrumentationParity:
         events = _trace_events(trace)
         unit_spans = [e for e in events if e.get("span") == "unit"]
         assert len(unit_spans) == sum(s["units"] for s in summaries)
-        # the coordinator's trace id propagates through the welcome and
-        # lease replies, so every span of the fleet shares one trace
+        # the coordinator's trace id propagates through the unit
+        # grants, so every span of the fleet shares one trace
         trace_ids = {
             e.get("trace_id") for e in events if e.get("event") == "span"
         }

@@ -10,9 +10,8 @@ Three properties carry the subsystem:
   granted before a queued bulk plan that has been soaking up the
   fleet;
 * **drain is lossless** — a worker retired mid-run finishes its lease,
-  uploads its records, exits with ``drained: true``, and the run
-  completes with zero requeued cells and zero lost or duplicated
-  records.
+  uploads its records, exits through ``bye``, and the run completes
+  with zero requeued cells and zero lost or duplicated records.
 
 Plus the satellite pieces: connect-retry backoff shape, admission
 backpressure over HTTP, record streaming with resume-by-offset, and
@@ -45,6 +44,7 @@ from repro.service import (
     AdmissionError,
     PlanQueue,
     PredictionService,
+    ServiceCoordinator,
     ServiceError,
     UnknownPlanError,
     plan_job_id,
@@ -257,6 +257,46 @@ class TestPlanQueueScheduling:
 
 
 # ----------------------------------------------------------------------
+# `repro experiments status` against a live service fleet port
+# ----------------------------------------------------------------------
+class TestStatusCLI:
+    def test_status_prints_every_plan_worker_and_cost_model(
+        self, tmp_path, capsys
+    ):
+        """One status reply renders one line per plan (recorded/expected
+        cells, state, progress), the per-worker busy/idle table and the
+        cost model — never ``plan None: None/None``."""
+        from repro.cli import main
+
+        queue = PlanQueue(tmp_path / "spool", lease_timeout=60.0)
+        alpha, _ = queue.submit(_plan(name="alpha").to_dict(), tenant="a")
+        beta, _ = queue.submit(
+            _plan(name="beta", seeds=(0, 1)).to_dict(), tenant="b"
+        )
+        coordinator = ServiceCoordinator(queue)
+        host, port = coordinator.start()
+        try:
+            queue.touch("svc-w0")
+            assert queue.lease("svc-w0")["type"] == "unit"
+            assert (
+                main(
+                    ["experiments", "status", "--connect", f"{host}:{port}"]
+                )
+                == 0
+            )
+        finally:
+            coordinator.close()
+        out = capsys.readouterr().out
+        assert "None" not in out, out
+        assert f"plan 'alpha' ({alpha.id}, tenant a): 0/2 cells" in out
+        assert f"plan 'beta' ({beta.id}, tenant b): 0/4 cells" in out
+        assert "(running)" in out and "(queued)" in out
+        assert "pending units:" in out and "leased: 1" in out
+        assert "svc-w0: util" in out and "busy 0.0s / idle" in out
+        assert "cost model" in out
+
+
+# ----------------------------------------------------------------------
 # End-to-end over HTTP: two tenants, one worker pool, full parity
 # ----------------------------------------------------------------------
 class TestServiceEndToEnd:
@@ -359,7 +399,6 @@ class TestServiceEndToEnd:
                 t.join(timeout=60)
             assert not errors, errors
             assert set(summaries) == {"svc-w0", "svc-w1"}
-            assert all(s["drained"] for s in summaries.values())
             _, status_body = _get(base + "/status")
             for job in status_body["plans"]:
                 assert job["progress"]["requeues"] == 0
@@ -478,9 +517,10 @@ class TestServiceEndToEnd:
 class TestDrainLifecycle:
     def test_mid_run_drain_loses_and_duplicates_nothing(self, tmp_path):
         """Retire one of two workers after its first completed unit.
-        The drained worker exits gracefully (``drained: true``), the
-        survivor finishes the plan, zero cells requeue, and the store
-        matches an inline run record for record."""
+        The drained worker exits gracefully through ``bye`` while the
+        survivor finishes the plan (and is then retired the same way),
+        zero cells requeue, and the store matches an inline run record
+        for record."""
         plan = _plan(seeds=tuple(range(6)))  # 12 cells to spread
         store = ResultsStore(tmp_path / "coord.jsonl")
         summaries: list[dict] = []
@@ -505,7 +545,7 @@ class TestDrainLifecycle:
                 summaries.append(
                     run_worker(
                         address_box["addr"],
-                        store_path=tmp_path / f"worker{index}.jsonl",
+                        store_path=tmp_path / f"worker{index}",
                         worker_id=f"drain-w{index}",
                         poll_interval=0.05,
                         after_complete=(
@@ -540,8 +580,8 @@ class TestDrainLifecycle:
         assert executor.requeues == 0
         assert len(result.records) == plan.n_runs
         by_worker = {s["worker"]: s for s in summaries}
-        assert by_worker["drain-w0"]["drained"] is True
-        assert by_worker["drain-w1"]["drained"] is False  # saw "done"
+        assert set(by_worker) == {"drain-w0", "drain-w1"}
+        assert by_worker["drain-w1"]["units"] >= 1
         # every expected cell exactly once in the coordinator store
         keys = [record_key(r) for r in store.records()]
         assert len(keys) == len(set(keys)) == plan.n_runs

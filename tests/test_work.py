@@ -209,16 +209,3 @@ class TestRunUnits:
                 [WorkUnit(0, (("ess", "grassland", 99, "vectorized"),))],
                 set(),
             )
-
-    def test_run_groups_shim_equals_run_units(self, tmp_path):
-        plan = _plan(cases=(CaseSpec("grassland", size=20, steps=2),))
-        a = ResultsStore(tmp_path / "groups.jsonl")
-        ExperimentRunner(store=a).run_groups(plan, [0], set())
-        b = ResultsStore(tmp_path / "units.jsonl")
-        ExperimentRunner(store=b).run_units(
-            plan, WorkSet.compile(plan).pending(), set()
-        )
-        norm = lambda store: [
-            parity_view(r) for r in sorted(store.records(), key=record_key)
-        ]
-        assert norm(a) == norm(b)
