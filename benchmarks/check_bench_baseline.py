@@ -1,14 +1,14 @@
 """Diff freshly measured bench rows against a committed baseline.
 
-CI copies the repository's BENCH report (``BENCH_executors.json``,
-``BENCH_engine.json``) aside *before* the smoke benchmarks run (they
-merge sections into the committed path in place), reruns the smoke
-bodies, and then calls this script to print how the metrics moved
-against what the repository claims:
+CI points the smoke benchmarks' report directory
+(``_report._REPORT_DIR``) at a scratch directory, so the committed
+BENCH reports (``BENCH_executors.json``, ``BENCH_engine.json``) stay
+untouched as the baseline, and then calls this script to print how
+the metrics moved against what the repository claims:
 
     python benchmarks/check_bench_baseline.py \
-        --baseline baseline.json \
-        --fresh benchmarks/reports/BENCH_executors.json \
+        --baseline benchmarks/reports/BENCH_executors.json \
+        --fresh executors-smoke/BENCH_executors.json \
         --section few_big_groups_smoke
 
 Rows are matched by the ``--key`` label: ``mode`` by default

@@ -302,10 +302,18 @@ class BestSet:
         pool = self._members + new
         pool.sort(key=lambda ind: ind.fitness, reverse=True)  # type: ignore[arg-type, return-value]
         if self._dedupe:
+            # One hash probe per genome instead of a pairwise scan.
+            # ``+ 0.0`` folds -0.0 into 0.0, as ``np.array_equal``
+            # does; a genome holding NaN equals nothing, itself
+            # included, so it is always kept and never keyed.
             unique: list[Individual] = []
+            seen: set[tuple] = set()
             for ind in pool:
-                if any(np.array_equal(ind.genome, u.genome) for u in unique):
-                    continue
+                if not np.isnan(ind.genome).any():
+                    key = (ind.genome.shape, (ind.genome + 0.0).tobytes())
+                    if key in seen:
+                        continue
+                    seen.add(key)
                 unique.append(ind)
                 if len(unique) == self._capacity:
                     break

@@ -245,9 +245,24 @@ class ParameterSpace:
         values["model"] = int(round(values["model"]))
         return Scenario(**values)
 
+    def decode_matrix(self, genomes: np.ndarray) -> np.ndarray:
+        """The decoded batch as one ``(n, dimension)`` float matrix.
+
+        Row ``i`` holds the fields of ``decode(genomes[i])`` in genome
+        order, ``Model`` as an integral float: one columnwise clip of
+        the whole batch, for consumers that want columns, not objects.
+        """
+        g = self.clip(np.atleast_2d(np.asarray(genomes, dtype=np.float64)))
+        # int(round(x)) == rint(x): both round half to even
+        g[:, 0] = np.rint(g[:, 0])
+        return g
+
     def decode_many(self, genomes: np.ndarray) -> list[Scenario]:
         """Decode a ``(n, dimension)`` matrix of genomes."""
-        return [self.decode(row) for row in np.atleast_2d(genomes)]
+        return [
+            Scenario(int(row[0]), *row[1:])
+            for row in self.decode_matrix(genomes).tolist()
+        ]
 
     def encode(self, scenario: Scenario) -> np.ndarray:
         """Scenario → clipped genome."""

@@ -6,11 +6,10 @@ maps) for one prediction step. Three implementations ship:
 * ``reference`` — wraps today's per-scenario
   :class:`~repro.firelib.simulator.FireSimulator`; the semantics every
   other backend must reproduce bit-for-bit.
-* ``vectorized`` — batches the Rothermel/ellipse math across the whole
-  genome batch (one NumPy pass for the directional travel times of
-  every spatially-uniform scenario), deduplicates bitwise-equal
-  genomes, and runs the propagation through the flat-index Dijkstra
-  kernels of :mod:`repro.engine.fastprop`.
+* ``vectorized`` — deduplicates bitwise-equal genomes, computes the
+  Rothermel/ellipse fields of the whole batch in one genome-axis ×
+  terrain-class NumPy pass, and runs the propagation through the
+  flat-index Dijkstra kernels of :mod:`repro.engine.fastprop`.
 * ``process`` — fans the batch out to a multiprocess pool layered on
   :class:`~repro.parallel.executor.ProcessPoolEvaluator`; each worker
   receives the step spec once (copy-on-write shared rasters under the
@@ -29,7 +28,6 @@ import os
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -39,18 +37,18 @@ from repro.engine import native
 from repro.engine.fastprop import FlatGrid
 from repro.errors import ReproError, SimulationError
 from repro.firelib.ellipse import eccentricity_from_effective_wind, ros_at_azimuth
-from repro.firelib.moisture import Moisture
 from repro.firelib.propagation import _offset_azimuth_deg, stencil
-from repro.firelib.rothermel import ROS_EPSILON, FuelBed, spread
+from repro.firelib.rothermel import ROS_EPSILON, FuelBed
 from repro.firelib.simulator import FireSimulator
 from repro.grid.terrain import Terrain
 from repro.obs import telemetry
 from repro.units import METERS_TO_FEET, MPH_TO_FTMIN
 
-#: Element budget for the three batched ``(chunk, n_classes)`` field
-#: arrays of the heterogeneous-raster path (float64: ~32 MB per chunk);
-#: the per-genome ``(D, bh, bw)`` travel block is not chunked.
-_RASTER_BLOCK_ELEMENTS = 4_000_000
+#: Element budget of one field chunk: the three ``(chunk, n_classes)``
+#: field arrays plus the ``(chunk, n_classes, D)`` travel-time block
+#: (float64: ~32 MB); the raster kernel's per-genome ``(D, bh, bw)``
+#: travel block is not chunked.
+_FIELD_BLOCK_ELEMENTS = 4_000_000
 
 __all__ = [
     "StepSpec",
@@ -378,15 +376,19 @@ class ReferenceBackend(EngineBackend):
 class VectorizedBackend(EngineBackend):
     """Batched NumPy kernel + flat-index Dijkstra propagation.
 
-    For spatially-uniform scenarios (no fuel/slope/aspect rasters) the
-    per-cell spread fields collapse to per-genome scalars, so the
-    directional travel times of the **whole batch** are produced in one
-    ``(n, D)`` NumPy pass. Heterogeneous slope/aspect rasters keep
-    per-cell fields, but the Rothermel/ellipse math is vectorized over
-    the **genome axis** with the rasters broadcast — one NumPy pass per
-    fuel-bed group instead of one per genome — and the propagation runs
-    through the flat-index Dijkstra kernels. Bitwise-identical rows are
-    simulated once and broadcast back.
+    Cells are deduplicated into *terrain classes*: every per-cell
+    quantity of the Rothermel/ellipse math depends only on the cell's
+    (fuel, slope, aspect) tuple, taken from the rasters the terrain has.
+    A terrain without rasters has one class, a fuel-only raster one per
+    fuel code, slope/aspect rasters typically tens to hundreds. The
+    spread fields of a whole deduplicated batch come from one
+    ``(genomes × classes)`` NumPy pass per fuel bed (:meth:`_fields`),
+    bitwise equal to :class:`FireSimulator`'s per-scenario fields. The
+    propagation then runs per genome through the flat-index Dijkstra
+    kernels: ``run_uniform`` for one class, ``run_table`` over the fuel
+    codes, and the reach-clipped table/raster kernels for slope/aspect
+    rasters. Bitwise-identical genome rows are simulated once and
+    broadcast back.
     """
 
     def __init__(self, spec: StepSpec) -> None:
@@ -402,289 +404,156 @@ class VectorizedBackend(EngineBackend):
         self._distances = np.array(
             [cell_ft * math.hypot(dr, dc) for dr, dc in self._offsets]
         )
-        # Per-cell variation decides the propagation mode: scalar
-        # scenarios collapse to D weights, fuel-only rasters to a
-        # (fuel code × D) table, anything with slope/aspect rasters
-        # keeps the full (D, H, W) travel array.
         if terrain.slope is None and terrain.aspect is None:
             self._mode = "uniform" if terrain.fuel is None else "fuel_table"
         else:
             self._mode = "raster"
-        # Padded flat grid + seeded-state template, shared by the whole
-        # batch: geometry and the step-start burned region are fixed.
+        # Terrain classes: the distinct (fuel, slope, aspect) tuples of
+        # the rasters present; a missing raster takes the genome value.
+        columns = [
+            np.asarray(raster, dtype=np.float64).reshape(-1)
+            for raster in (terrain.fuel, terrain.slope, terrain.aspect)
+            if raster is not None
+        ]
+        if columns:
+            uniq, inverse = np.unique(
+                np.stack(columns, axis=1), axis=0, return_inverse=True
+            )
+        else:
+            uniq = np.empty((1, 0))
+            inverse = np.zeros(terrain.rows * terrain.cols, dtype=np.intp)
+        self._class_of_cell = inverse.reshape(terrain.shape)
+        self._n_classes = uniq.shape[0]
+        col = 0
+        self._class_fuel = self._class_slope = self._class_aspect = None
+        if terrain.fuel is not None:
+            self._class_fuel = uniq[:, col].astype(np.int64)
+            col += 1
+        if terrain.slope is not None:
+            self._class_slope = uniq[:, col]
+            col += 1
+        if terrain.aspect is not None:
+            self._class_aspect = uniq[:, col]
         # Seed cells in row-major order, simulate_from_burned's ordering.
         seed_rows, seed_cols = np.nonzero(spec.start_burned)
         self._seed_cells = [
             (int(r), int(c)) for r, c in zip(seed_rows, seed_cols)
         ]
-        self._grid = FlatGrid(terrain.shape, self._offsets, self._blocked)
-        self._seeded = self._grid.seed(self._seed_cells)
         self._seed_bbox = (
             (int(seed_rows.min()), int(seed_rows.max())),
             (int(seed_cols.min()), int(seed_cols.max())),
         )
-        # Reachability-clipped FlatGrids of the heterogeneous path,
-        # keyed by box bounds (reused across genomes and batches).
+        # Per-box propagation state, keyed by box bounds (reused across
+        # genomes and batches); the whole grid is the box of the
+        # uniform and fuel-table modes.
         self._box_grids: dict[tuple[int, int, int, int], tuple] = {}
+        self._grid, self._seeded, self._class_flat, _ = self._box_grid(
+            (slice(0, terrain.rows), slice(0, terrain.cols))
+        )
         #: Heterogeneous-path propagation calls by chosen kernel.
         self.kernel_calls: dict[str, int] = {"table": 0, "raster": 0}
-        if self._mode == "fuel_table":
-            self._codes = [int(c) for c in np.unique(terrain.fuel)]
-            pad, width = self._grid.pad, self._grid.width
-            classes = np.zeros(
-                (terrain.rows + 2 * pad, width), dtype=np.int64
-            )
-            classes[pad : pad + terrain.rows, pad : pad + terrain.cols] = (
-                np.searchsorted(self._codes, terrain.fuel)
-            )
-            self._class_flat = classes.reshape(-1).tolist()
-        elif self._mode == "raster":
-            # Deduplicate cells into terrain classes: every per-cell
-            # quantity of the Rothermel/ellipse math depends only on
-            # the (fuel, slope, aspect) tuple, so fields and travel
-            # times are computed once per distinct tuple and gathered
-            # back — typically tens of classes for thousands of cells
-            # on DEM-derived (quantized) rasters.
-            columns = []
-            for raster in (terrain.fuel, terrain.slope, terrain.aspect):
-                if raster is not None:
-                    columns.append(
-                        np.asarray(raster, dtype=np.float64).reshape(-1)
-                    )
-            uniq, inverse = np.unique(
-                np.stack(columns, axis=1), axis=0, return_inverse=True
-            )
-            self._class_of_cell = inverse.reshape(terrain.shape)
-            col = 0
-            if terrain.fuel is not None:
-                self._class_fuel = uniq[:, col].astype(np.int64)
-                col += 1
-            else:
-                self._class_fuel = None
-            if terrain.slope is not None:
-                self._class_slope = uniq[:, col]
-                col += 1
-            else:
-                self._class_slope = None
-            self._class_aspect = uniq[:, col] if terrain.aspect is not None else None
-            self._n_classes = uniq.shape[0]
 
     # ------------------------------------------------------------------
-    def _uniform_weight_matrix(self, scenarios: Sequence) -> np.ndarray:
-        """Travel-time weights for a batch of uniform scenarios, ``(n, D)``.
-
-        The Rothermel ellipse of each scenario is three scalars; the
-        per-direction spread rates of the whole batch then come from a
-        single broadcast ``ros_at_azimuth`` evaluation.
-        """
-        ros = np.empty(len(scenarios), dtype=np.float64)
-        heading = np.empty_like(ros)
-        ecc = np.empty_like(ros)
-        for i, sc in enumerate(scenarios):
-            moisture = Moisture.from_percent(sc.m1, sc.m10, sc.m100, sc.mherb)
-            result = spread(
-                int(sc.model),
-                moisture,
-                float(sc.wind_speed),
-                float(sc.wind_dir),
-                float(sc.slope),
-                float(sc.aspect),
-            )
-            ros[i] = result.ros_max
-            heading[i] = result.dir_max_deg
-            ecc[i] = result.eccentricity
-        rates = ros_at_azimuth(
-            ros[:, None], heading[:, None], ecc[:, None], self._azimuths[None, :]
-        )
-        with np.errstate(divide="ignore"):
-            return np.where(
-                rates > ROS_EPSILON, self._distances[None, :] / rates, np.inf
-            )
-
-    def _direction_weights(self, result) -> np.ndarray:
-        """Per-direction travel times, ``(D,)``, of one scalar ellipse."""
-        rates = ros_at_azimuth(
-            result.ros_max,
-            result.dir_max_deg,
-            result.eccentricity,
-            self._azimuths,
-        )
-        with np.errstate(divide="ignore"):
-            return np.where(rates > ROS_EPSILON, self._distances / rates, np.inf)
-
-    def _fuel_weight_table(self, scenario) -> list[list[float]]:
-        """``(fuel code × D)`` travel-time table for one scenario."""
-        moisture = Moisture.from_percent(
-            scenario.m1, scenario.m10, scenario.m100, scenario.mherb
-        )
-        table: list[list[float]] = []
-        for code in self._codes:
-            if code == 0:
-                table.append([np.inf] * len(self._offsets))
-                continue  # unburnable: also blocked, rows never read
-            result = spread(
-                code,
-                moisture,
-                float(scenario.wind_speed),
-                float(scenario.wind_dir),
-                float(scenario.slope),
-                float(scenario.aspect),
-            )
-            table.append(self._direction_weights(result).tolist())
-        return table
-
-    def _ignition_times(self, scenario, weights: np.ndarray | None) -> np.ndarray:
-        spec = self.spec
-        if weights is not None:
-            return self._grid.run_uniform(
-                weights.tolist(), self._seeded, horizon=spec.horizon
-            )
-        return self._grid.run_table(
-            self._fuel_weight_table(scenario),
-            self._class_flat,
-            self._seeded,
-            horizon=spec.horizon,
-        )
-
+    # One genome-axis field pass for every mode
     # ------------------------------------------------------------------
-    # Heterogeneous slope/aspect rasters: genome-axis batched fields
-    # ------------------------------------------------------------------
-    def _raster_fields(
-        self, scenarios: Sequence
+    def _fields(
+        self, decoded: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-class ellipse fields for a whole batch, each ``(n, u)``.
+        """Per-class ellipse fields of a decoded batch, each ``(n, u)``.
 
         The genome-axis vectorization of
         :meth:`repro.firelib.simulator.FireSimulator.spread_fields`:
-        scenarios are grouped by fuel bed (the scenario ``Model`` on
-        fuel-free terrains, each raster fuel code otherwise) and the
-        wind–slope vector combination of every group is computed in one
-        broadcast NumPy pass over ``(genomes × terrain classes)`` — the
-        same elementwise float operations the reference path performs
-        per genome per cell, deduplicated to the ``u`` distinct
-        (fuel, slope, aspect) tuples, so the gathered per-cell values
-        are bitwise identical.
+        rows of ``decoded`` (see
+        :meth:`~repro.core.scenario.ParameterSpace.decode_matrix`) are
+        grouped by fuel bed — the genome ``Model`` on fuel-free
+        terrains, each raster fuel code otherwise — and each group runs
+        the batched no-wind rates and wind factors, then the wind–slope
+        vector combination of :func:`repro.firelib.rothermel.spread`
+        broadcast over ``(genomes × classes)``. The float operations are
+        the reference's, element for element, so the fields are
+        bitwise equal. One exception follows the reference's own split:
+        it spreads fuel-free, raster-free terrain on scalars, whose
+        ``**`` is libm ``pow``, so the effective wind of the uniform
+        mode is taken per element.
         """
-        n = len(scenarios)
-        ros = np.zeros((n, self._n_classes), dtype=np.float64)
-        dir_ = np.zeros((n, self._n_classes), dtype=np.float64)
-        ecc = np.zeros((n, self._n_classes), dtype=np.float64)
+        # decoded columns, Table I order: Model, WindSpd, WindDir, M1,
+        # M10, M100, Mherb, Slope, Aspect
+        n, u = decoded.shape[0], self._n_classes
+        ros = np.zeros((n, u), dtype=np.float64)
+        dir_ = np.zeros((n, u), dtype=np.float64)
+        ecc = np.zeros((n, u), dtype=np.float64)
+        moistures = decoded[:, 3:7] / 100.0  # Table I percent → fractions
+        speed = decoded[:, 1]
+        wind = np.where(speed > 0.0, speed, 0.0) * MPH_TO_FTMIN
+        every_row, every_class = np.arange(n), np.arange(u)
         if self._class_fuel is None:
-            by_model: dict[int, list[int]] = {}
-            for i, sc in enumerate(scenarios):
-                by_model.setdefault(int(sc.model), []).append(i)
-            for code, rows in by_model.items():
-                self._fill_raster_group(
-                    code, rows, scenarios, self._class_slope,
-                    self._class_aspect, None, ros, dir_, ecc,
-                )
+            groups = [
+                (int(code), every_row[decoded[:, 0] == code], every_class)
+                for code in np.unique(decoded[:, 0])
+            ]
         else:
-            all_rows = list(range(n))
-            for code in np.unique(self._class_fuel):
-                if code == 0:
-                    continue  # unburnable: fields stay zero, cells blocked
-                classes = np.flatnonzero(self._class_fuel == code)
-                self._fill_raster_group(
-                    int(code),
-                    all_rows,
-                    scenarios,
-                    (
-                        self._class_slope[classes]
-                        if self._class_slope is not None
-                        else None
-                    ),
-                    (
-                        self._class_aspect[classes]
-                        if self._class_aspect is not None
-                        else None
-                    ),
-                    classes,
-                    ros,
-                    dir_,
-                    ecc,
-                )
+            groups = [
+                (int(code), every_row, np.flatnonzero(self._class_fuel == code))
+                for code in np.unique(self._class_fuel)
+                if code != 0  # unburnable: fields stay zero, cells blocked
+            ]
+        for code, rows, classes in groups:
+            bed = FuelBed.for_model(code)
+            r0 = bed.no_wind_rates(moistures[rows])
+            # Non-spreading beds short-circuit to all-zero fields in the
+            # reference path; keep those rows at the zero initialisation.
+            alive = r0 > ROS_EPSILON
+            if not alive.any():
+                continue
+            rows = rows[alive]
+            r0 = r0[alive, None]
+            wnd_rate = r0 * bed.phi_winds(wind[rows])[:, None]
+            wind_dir = decoded[rows, 2:3]
+            if self._class_slope is not None:
+                slope = self._class_slope[None, classes]
+            else:
+                slope = decoded[rows, 7:8]
+            if self._class_aspect is not None:
+                aspect = self._class_aspect[None, classes]
+            else:
+                aspect = decoded[rows, 8:9]
+
+            # The fireLib wind–slope vector combination, exactly as in
+            # repro.firelib.rothermel.spread, with genomes down the rows.
+            phi_s = bed.phi_slope(slope)
+            upslope = np.mod(aspect + 180.0, 360.0)
+            split = np.radians(np.mod(wind_dir - upslope, 360.0))
+            slp_rate = r0 * phi_s
+            x = slp_rate + wnd_rate * np.cos(split)
+            y = wnd_rate * np.sin(split)
+            rv = np.hypot(x, y)
+            pushed = rv > ROS_EPSILON
+            phi_ew = rv / r0
+            dir_max = np.mod(upslope + np.degrees(np.arctan2(y, x)), 360.0)
+            eff_wind = (
+                bed.effective_winds_scalar(phi_ew)
+                if self._mode == "uniform"
+                else bed.effective_wind(phi_ew)
+            )
+            target = (len(rows), len(classes))
+            scatter = np.ix_(rows, classes)
+            ros[scatter] = np.broadcast_to(r0 + rv, target)
+            dir_[scatter] = np.broadcast_to(np.where(pushed, dir_max, 0.0), target)
+            ecc[scatter] = np.broadcast_to(
+                np.where(pushed, eccentricity_from_effective_wind(eff_wind), 0.0),
+                target,
+            )
         return ros, dir_, ecc
 
-    def _fill_raster_group(
-        self,
-        code: int,
-        rows: list[int],
-        scenarios: Sequence,
-        slope_cells: np.ndarray | None,
-        aspect_cells: np.ndarray | None,
-        cells: np.ndarray | None,
-        out_ros: np.ndarray,
-        out_dir: np.ndarray,
-        out_ecc: np.ndarray,
-    ) -> None:
-        """One fuel bed × all its genomes, broadcast over the cells.
-
-        ``slope_cells``/``aspect_cells`` are the raster values gathered
-        at ``cells`` (``None`` = the scenario scalar applies, varying
-        per genome); ``cells`` are the flat indices to scatter into
-        (``None`` = the whole grid).
-        """
-        bed = FuelBed.for_model(code)
-        r0 = np.empty(len(rows), dtype=np.float64)
-        phi_w = np.empty_like(r0)
-        wind_dir = np.empty_like(r0)
-        for j, i in enumerate(rows):
-            sc = scenarios[i]
-            moisture = Moisture.from_percent(sc.m1, sc.m10, sc.m100, sc.mherb)
-            r0[j] = bed.no_wind_rate(moisture)
-            phi_w[j] = bed.phi_wind(
-                max(0.0, float(sc.wind_speed)) * MPH_TO_FTMIN
-            )
-            wind_dir[j] = float(sc.wind_dir)
-        # Non-spreading beds short-circuit to all-zero fields in the
-        # reference path; keep those rows at the zero initialisation.
-        alive = r0 > ROS_EPSILON
-        if not alive.any():
-            return
-        live_rows = np.asarray(rows, dtype=np.intp)[alive]
-        r0 = r0[alive, None]
-        wnd_rate = (r0[:, 0] * phi_w[alive])[:, None]
-        wind_dir = wind_dir[alive, None]
-        if slope_cells is not None:
-            slope = slope_cells[None, :]
-        else:
-            slope = np.array(
-                [float(scenarios[i].slope) for i in live_rows], dtype=np.float64
-            )[:, None]
-        if aspect_cells is not None:
-            aspect = aspect_cells[None, :]
-        else:
-            aspect = np.array(
-                [float(scenarios[i].aspect) for i in live_rows], dtype=np.float64
-            )[:, None]
-
-        # The fireLib wind–slope vector combination, exactly as in
-        # repro.firelib.rothermel.spread, with genomes down the rows.
-        phi_s = bed.phi_slope(slope)
-        upslope = np.mod(aspect + 180.0, 360.0)
-        split = np.radians(np.mod(wind_dir - upslope, 360.0))
-        slp_rate = r0 * phi_s
-        x = slp_rate + wnd_rate * np.cos(split)
-        y = wnd_rate * np.sin(split)
-        rv = np.hypot(x, y)
-        ros_max = r0 + rv
-        phi_ew = rv / r0
-        dir_max = np.mod(upslope + np.degrees(np.arctan2(y, x)), 360.0)
-        dir_max = np.where(rv > ROS_EPSILON, dir_max, 0.0)
-        ecc = eccentricity_from_effective_wind(bed.effective_wind(phi_ew))
-        ecc = np.where(rv > ROS_EPSILON, ecc, 0.0)
-
-        m = out_ros.shape[1] if cells is None else len(cells)
-        target = (len(live_rows), m)
-        if cells is None:
-            out_ros[live_rows] = np.broadcast_to(ros_max, target)
-            out_dir[live_rows] = np.broadcast_to(dir_max, target)
-            out_ecc[live_rows] = np.broadcast_to(ecc, target)
-        else:
-            scatter = np.ix_(live_rows, cells)
-            out_ros[scatter] = np.broadcast_to(ros_max, target)
-            out_dir[scatter] = np.broadcast_to(dir_max, target)
-            out_ecc[scatter] = np.broadcast_to(ecc, target)
+    def _travel(
+        self, ros: np.ndarray, dir_: np.ndarray, ecc: np.ndarray
+    ) -> np.ndarray:
+        """Per-direction travel times of ellipse fields, ``(*shape, D)``."""
+        rates = ros_at_azimuth(
+            ros[..., None], dir_[..., None], ecc[..., None], self._azimuths
+        )
+        with np.errstate(divide="ignore"):
+            return np.where(rates > ROS_EPSILON, self._distances / rates, np.inf)
 
     def _reach_box(self, ros_peak: float) -> tuple[slice, slice]:
         """Subgrid that provably contains everything the fire can reach.
@@ -745,119 +614,97 @@ class VectorizedBackend(EngineBackend):
             )
         return cached
 
-    def _raster_burned(self, scenarios: Sequence) -> np.ndarray:
-        """Burned masks of a deduplicated heterogeneous-raster batch.
+    def _raster_burned(self, ros, dir_, ecc, maps: np.ndarray) -> None:
+        """Burn the slope/aspect-raster genomes of one field chunk.
 
-        Fields come from the genome-axis, class-deduplicated batched
-        kernel; per genome, the ``(u, D)`` travel-time table follows in
-        one broadcast pass and the Dijkstra run is clipped to the
-        reachability box of :meth:`_reach_box`, so slow/wet scenarios
-        (the bulk of a Table I sample) cost a handful of cells instead
-        of the whole grid. Per genome, the propagation kernel —
-        ``run_table`` (class-axis tables, cheap for quantized DEM
-        rasters) vs ``run_raster`` (per-cell planes, cheap for
-        continuous rasters) — is chosen by the process-wide
-        :class:`KernelCostModel` from measured per-unit costs; the
-        ``repro_engine_force_kernel`` environment variable pins one
-        kernel for tests. Both kernels are bitwise-equivalent, so the
-        choice only ever moves time, never results.
+        Per genome the Dijkstra run is clipped to the reachability box
+        of :meth:`_reach_box`, so slow/wet scenarios (the bulk of a
+        Table I sample) cost a handful of cells instead of the whole
+        grid, and the propagation kernel — ``run_table`` (class-axis
+        tables, cheap for quantized DEM rasters) vs ``run_raster``
+        (per-cell planes, cheap for continuous rasters) — is chosen by
+        the process-wide :class:`KernelCostModel` from measured
+        per-unit costs; the ``repro_engine_force_kernel`` environment
+        variable pins one kernel for tests. Both kernels are
+        bitwise-equivalent, so the choice only ever moves time, never
+        results. ``maps`` rows are written in place.
         """
         spec = self.spec
-        maps = np.zeros((len(scenarios), *spec.terrain.shape), dtype=bool)
         n_dirs = len(self._offsets)
-        chunk = max(
-            1, _RASTER_BLOCK_ELEMENTS // max(1, 3 * self._n_classes)
-        )
-        for lo in range(0, len(scenarios), chunk):
-            sub = scenarios[lo : lo + chunk]
-            ros, dir_, ecc = self._raster_fields(sub)
-            for k in range(len(sub)):
-                # Class max == cell max: every class occurs on ≥1 cell.
-                box = self._reach_box(float(ros[k].max()))
-                grid, seeded, class_flat, box_classes = self._box_grid(box)
-                # One broadcast pass for all D directions — over the
-                # class axis (run_table) or the box's gathered per-cell
-                # fields (run_raster). Both run the identical
-                # elementwise ops of the per-direction, per-cell
-                # reference loop; the assembly cost is part of what the
-                # cost model measures.
-                kernel = _KERNEL_COSTS.choose(
-                    self._n_classes, box_classes.size, n_dirs
+        for k in range(len(ros)):
+            # Class max == cell max: every class occurs on ≥1 cell.
+            box = self._reach_box(float(ros[k].max()))
+            grid, seeded, class_flat, box_classes = self._box_grid(box)
+            # The travel-time assembly, over the class axis (run_table)
+            # or the box's gathered per-cell fields (run_raster), is
+            # part of what the cost model measures.
+            kernel = _KERNEL_COSTS.choose(
+                self._n_classes, box_classes.size, n_dirs
+            )
+            start = time.perf_counter()
+            if kernel == "table":
+                # Blocked cells never enter the heap, so sharing a
+                # table row with open cells cannot leak fire out of
+                # them — no per-cell blocked override needed.
+                times = grid.run_table(
+                    self._travel(ros[k], dir_[k], ecc[k]),
+                    class_flat,
+                    seeded,
+                    horizon=spec.horizon,
                 )
-                start = time.perf_counter()
-                if kernel == "table":
-                    rates = ros_at_azimuth(
-                        ros[k][None, :],
-                        dir_[k][None, :],
-                        ecc[k][None, :],
-                        self._azimuths[:, None],
-                    )
-                    with np.errstate(divide="ignore"):
-                        table = np.where(
-                            rates > ROS_EPSILON,
-                            self._distances[:, None] / rates,
-                            np.inf,
-                        )  # (D, u)
-                    # Blocked cells never enter the heap, so sharing a
-                    # table row with open cells cannot leak fire out of
-                    # them — no per-cell blocked override needed.
-                    times = grid.run_table(
-                        table.T,
-                        class_flat,
-                        seeded,
-                        horizon=spec.horizon,
-                    )
-                else:
-                    rates = ros_at_azimuth(
-                        ros[k][box_classes][None],
-                        dir_[k][box_classes][None],
-                        ecc[k][box_classes][None],
-                        self._azimuths[:, None, None],
-                    )
-                    with np.errstate(divide="ignore"):
-                        travel = np.where(
-                            rates > ROS_EPSILON,
-                            self._distances[:, None, None] / rates,
-                            np.inf,
-                        )  # (D, bh, bw)
-                    travel[:, self._blocked[box]] = np.inf
-                    times = grid.run_raster(
-                        travel, seeded, horizon=spec.horizon
-                    )
-                _KERNEL_COSTS.observe(
-                    kernel,
-                    self._n_classes,
-                    box_classes.size,
-                    n_dirs,
-                    time.perf_counter() - start,
-                )
-                self.kernel_calls[kernel] += 1
-                maps[lo + k][box] = times <= spec.horizon
-        return maps
+            else:
+                travel = np.moveaxis(
+                    self._travel(
+                        ros[k][box_classes],
+                        dir_[k][box_classes],
+                        ecc[k][box_classes],
+                    ),
+                    -1,
+                    0,
+                )  # (D, bh, bw)
+                travel[:, self._blocked[box]] = np.inf
+                times = grid.run_raster(travel, seeded, horizon=spec.horizon)
+            _KERNEL_COSTS.observe(
+                kernel,
+                self._n_classes,
+                box_classes.size,
+                n_dirs,
+                time.perf_counter() - start,
+            )
+            self.kernel_calls[kernel] += 1
+            maps[k][box] = times <= spec.horizon
 
     def _unique_burned(self, genomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Burned masks of the deduplicated batch + inverse index map."""
         genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
         uniq, inverse = np.unique(genomes, axis=0, return_inverse=True)
-        scenarios = [self.spec.space.decode(g) for g in uniq]
-        if self._mode == "raster":
-            return self._raster_burned(scenarios), inverse.reshape(-1)
-        weight_rows = (
-            self._uniform_weight_matrix(scenarios)
-            if self._mode == "uniform"
-            else None
+        decoded = self.spec.space.decode_matrix(uniq)
+        horizon = self.spec.horizon
+        maps = np.zeros((len(uniq), *self.spec.terrain.shape), dtype=bool)
+        chunk = max(
+            1, _FIELD_BLOCK_ELEMENTS // (self._n_classes * (3 + len(self._offsets)))
         )
-        maps = np.empty((len(scenarios), *self.spec.terrain.shape), dtype=bool)
-        for k, sc in enumerate(scenarios):
-            times = self._ignition_times(
-                sc, weight_rows[k] if weight_rows is not None else None
-            )
-            maps[k] = times <= self.spec.horizon
-        telemetry().counter(
-            "repro_engine_kernel_calls_total",
-            kernel="uniform" if weight_rows is not None else "table",
-            impl=native.impl(),
-        ).inc(len(scenarios))
+        for lo in range(0, len(uniq), chunk):
+            ros, dir_, ecc = self._fields(decoded[lo : lo + chunk])
+            out = maps[lo : lo + chunk]
+            if self._mode == "raster":
+                self._raster_burned(ros, dir_, ecc, out)
+            elif self._mode == "uniform":
+                for k, weights in enumerate(self._travel(ros, dir_, ecc)[:, 0]):
+                    out[k] = self._grid.run_uniform(
+                        weights.tolist(), self._seeded, horizon=horizon
+                    ) <= horizon
+            else:
+                for k, table in enumerate(self._travel(ros, dir_, ecc)):
+                    out[k] = self._grid.run_table(
+                        table, self._class_flat, self._seeded, horizon=horizon
+                    ) <= horizon
+        if self._mode != "raster":
+            telemetry().counter(
+                "repro_engine_kernel_calls_total",
+                kernel="uniform" if self._mode == "uniform" else "table",
+                impl=native.impl(),
+            ).inc(len(uniq))
         return maps, inverse.reshape(-1)
 
     # ------------------------------------------------------------------

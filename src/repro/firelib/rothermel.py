@@ -19,7 +19,10 @@ moisture, metre cells) at the boundary.
 Vectorisation: all heavy math is NumPy; slope/aspect may be per-cell
 arrays and broadcast through the wind–slope vector combination, so a
 heterogeneous-terrain simulation costs one vectorised pass per distinct
-fuel model (≤ 13) rather than one Python call per cell.
+fuel model (≤ 13) rather than one Python call per cell. The batched
+:meth:`FuelBed.no_wind_rates` and :meth:`FuelBed.phi_winds` take a
+whole batch of moistures or winds at once, bitwise equal to the scalar
+methods; the engine's field pass runs on them.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import ScenarioError, SimulationError
 from repro.firelib.fuel_models import (
     EFFECTIVE_MINERAL,
     HEAT_CONTENT,
@@ -39,7 +42,7 @@ from repro.firelib.fuel_models import (
     FuelModel,
     get_model,
 )
-from repro.firelib.moisture import Moisture
+from repro.firelib.moisture import MOISTURE_FIELDS, Moisture, moisture_matrix
 from repro.units import MPH_TO_FTMIN
 
 __all__ = ["FuelBed", "SpreadResult", "spread", "MPH_TO_FTMIN"]
@@ -242,11 +245,98 @@ class FuelBed:
 
         return reaction_intensity * self.xi / heat_sink
 
+    def no_wind_rates(self, moistures) -> np.ndarray:
+        """R₀ of a batch of moisture bundles, shape ``(n,)``, ft/min.
+
+        ``moistures`` is an ``(n, 4)`` matrix of fractions, validated by
+        :func:`~repro.firelib.moisture.moisture_matrix`. Entry ``i`` is
+        bitwise :meth:`no_wind_rate` of row ``i``: the same float
+        operations in the same order, run down the batch axis. The
+        particle sums reduce rows of an ``(n, k)`` array, which NumPy
+        sums exactly as it sums the one ``(k,)`` vector, and the
+        ``rm**2``/``rm**3`` powers stay Python ``**`` (libm ``pow``) per
+        element: ``np.power`` rounds differently for some inputs.
+        """
+        moistures = moisture_matrix(moistures)
+        n = moistures.shape[0]
+        try:
+            columns = [MOISTURE_FIELDS.index(k) for k in self.p_moisture_key]
+        except ValueError:
+            raise ScenarioError(
+                f"unknown moisture key in {self.p_moisture_key!r}"
+            ) from None
+        m = moistures[:, columns]  # (n, particles)
+        dead = self.p_dead
+        live = ~dead
+        zeros = np.zeros(n)
+
+        m_dead = (self.p_f[dead] * m[:, dead]).sum(axis=1) if dead.any() else zeros
+        has_live = bool(live.any())
+        m_live = (self.p_f[live] * m[:, live]).sum(axis=1) if has_live else zeros
+
+        mext_dead = self.model.mext_dead
+        if has_live and self.fine_live > 0:
+            fdmois = (
+                (
+                    self.p_load[dead]
+                    * np.exp(-138.0 / self.p_sav[dead])
+                    * m[:, dead]
+                ).sum(axis=1)
+                / self.fine_dead
+                if self.fine_dead > 0
+                else zeros
+            )
+            w_ratio = self.fine_dead / self.fine_live
+            mext_live = np.maximum(
+                2.9 * w_ratio * (1.0 - fdmois / mext_dead) - 0.226, mext_dead
+            )
+        else:
+            mext_live = np.full(n, mext_dead)
+
+        def eta_m(mf: np.ndarray, mx: np.ndarray) -> np.ndarray:
+            rm = np.divide(mf, mx, out=np.ones(n), where=mx > 0)
+            return np.array(
+                [
+                    0.0
+                    if r >= 1.0
+                    else max(0.0, 1.0 - 2.59 * r + 5.11 * r**2 - 3.52 * r**3)
+                    for r in rm.tolist()
+                ],
+                dtype=np.float64,
+            )
+
+        eta_dead = eta_m(m_dead, np.full(n, mext_dead))
+        eta_live = eta_m(m_live, mext_live) if has_live else zeros
+        eta_s = 0.174 * EFFECTIVE_MINERAL**-0.19
+
+        reaction_intensity = (
+            self.gamma
+            * HEAT_CONTENT
+            * (self.wn_dead * eta_dead + self.wn_live * eta_live)
+            * eta_s
+        )
+        eps = np.exp(-138.0 / self.p_sav)
+        qig = 250.0 + 1116.0 * m
+        heat_sink = self.rho_b * (self.p_fcat * self.p_f * eps * qig).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate = reaction_intensity * self.xi / heat_sink
+        return np.where((reaction_intensity > 0) & (heat_sink > 0), rate, 0.0)
+
     def phi_wind(self, wind_ftmin: float) -> float:
         """Wind factor φ_w for a midflame wind speed in ft/min."""
         if wind_ftmin <= 0:
             return 0.0
         return self.wind_k * wind_ftmin**self.wind_b
+
+    def phi_winds(self, wind_ftmin) -> np.ndarray:
+        """:meth:`phi_wind` of each wind speed, bitwise (libm ``pow``)."""
+        return np.array(
+            [
+                0.0 if u <= 0 else self.wind_k * u**self.wind_b
+                for u in np.asarray(wind_ftmin, dtype=np.float64).tolist()
+            ],
+            dtype=np.float64,
+        )
 
     def phi_slope(self, slope_deg: np.ndarray | float) -> np.ndarray | float:
         """Slope factor φ_s for slope(s) in degrees."""
@@ -257,6 +347,20 @@ class FuelBed:
         """Invert the wind-factor relation: φ_ew → equivalent wind, ft/min."""
         phi = np.maximum(phi_ew, 0.0)
         return (phi / self.wind_k) ** self.wind_e_inv
+
+    def effective_winds_scalar(self, phi_ew: np.ndarray) -> np.ndarray:
+        """:meth:`effective_wind` of each element as if passed alone.
+
+        :func:`spread` on scalar terrain works on NumPy scalars, whose
+        ``**`` is libm ``pow``; the ``np.power`` array loop of
+        :meth:`effective_wind` rounds differently for some inputs. This
+        takes the power per element, so the batch matches scalar calls.
+        """
+        base = np.maximum(phi_ew, 0.0) / self.wind_k
+        return np.array(
+            [b**self.wind_e_inv for b in base.reshape(-1).tolist()],
+            dtype=np.float64,
+        ).reshape(base.shape)
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,10 @@ class PredictionService:
             auth_token=auth_token,
         )
         self.gateway = ServiceGateway(self.queue, host=host, port=port)
+        # one bound method for set and clear: each `self.queue.status`
+        # access makes a new one, which the conditional clear never
+        # recognises as the installed hook
+        self._status_provider = self.queue.status
         self.housekeep_interval = float(housekeep_interval)
         self.address: tuple[str, int] | None = None
         self.fleet_address: tuple[str, int] | None = None
@@ -118,7 +122,7 @@ class PredictionService:
         self._housekeeper.start()
         # /status on an ObsHTTPServer (if the operator enabled one)
         # mirrors the service snapshot, same as the gateway's /status
-        set_status_provider(self.queue.status)
+        set_status_provider(self._status_provider)
         log.info(
             "prediction service up: http %s:%d, fleet %s:%d, spool %s",
             self.address[0],
@@ -139,7 +143,7 @@ class PredictionService:
     def close(self) -> None:
         """Stop serving and persist the cost snapshot (idempotent)."""
         self._stopping.set()
-        clear_status_provider(self.queue.status)
+        clear_status_provider(self._status_provider)
         housekeeper, self._housekeeper = self._housekeeper, None
         if housekeeper is not None:
             housekeeper.join(timeout=5.0)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.archive import BestSet, NoveltyArchive
 from repro.core.individual import Individual
@@ -146,3 +148,62 @@ class TestBestSet:
     def test_bad_capacity_raises(self):
         with pytest.raises(EvolutionError):
             BestSet(capacity=0)
+
+
+def _pairwise_dedupe(members, candidates, capacity):
+    """The pairwise ``np.array_equal`` merge BestSet used to run: the
+    oracle its hash-keyed dedup must reproduce member for member."""
+    pool = members + [ind.copy() for ind in candidates]
+    pool.sort(key=lambda ind: ind.fitness, reverse=True)
+    unique = []
+    for ind in pool:
+        if any(np.array_equal(ind.genome, u.genome) for u in unique):
+            continue
+        unique.append(ind)
+        if len(unique) == capacity:
+            break
+    return unique
+
+
+# few distinct values, so duplicates, signed zeros and NaNs are common
+_GENE = st.sampled_from([0.0, -0.0, 1.0, 2.5, np.nan])
+_CANDIDATE = st.tuples(
+    st.lists(_GENE, min_size=3, max_size=3),
+    st.sampled_from([0.1, 0.5, 0.9]),
+)
+
+
+class TestBestSetDedupeOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(min_value=1, max_value=6),
+        batches=st.lists(
+            st.lists(_CANDIDATE, max_size=8), min_size=1, max_size=5
+        ),
+    )
+    def test_matches_pairwise_array_equal(self, capacity, batches):
+        bs = BestSet(capacity=capacity)
+        expected: list[Individual] = []
+        for batch in batches:
+            candidates = [
+                Individual(genome=np.array(genes), fitness=fit)
+                for genes, fit in batch
+            ]
+            bs.update(candidates)
+            expected = _pairwise_dedupe(expected, candidates, capacity)
+            assert [
+                (ind.genome.tobytes(), ind.fitness) for ind in bs
+            ] == [(ind.genome.tobytes(), ind.fitness) for ind in expected]
+
+    def test_signed_zero_duplicates_merge_and_nan_never_does(self):
+        bs = BestSet(capacity=5)
+        nan = Individual(genome=np.array([np.nan, 0.0]), fitness=0.4)
+        bs.update(
+            [
+                Individual(genome=np.array([0.0, 1.0]), fitness=0.9),
+                Individual(genome=np.array([-0.0, 1.0]), fitness=0.8),
+                nan,
+                nan.copy(),
+            ]
+        )
+        assert [ind.fitness for ind in bs] == [0.9, 0.4, 0.4]

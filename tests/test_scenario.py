@@ -152,6 +152,33 @@ class TestCodec:
         assert len(scenarios) == 5
         assert all(isinstance(s, Scenario) for s in scenarios)
 
+    def test_decode_many_is_bitwise_decode_at_wrap_boundaries(self, space):
+        """One columnwise clip of the batch == per-genome decode, bit
+        for bit: circular wrap edges, signed zeros, ties of the integer
+        rounding and out-of-box values on every coordinate."""
+        edges = [
+            -0.0, 0.0, -1e-17, 1e-300, 0.5, 1.5, 2.5, 12.5, 13.5, 30.0,
+            59.99999999999999, 60.0, 81.0, 300.0, 359.99999999999994,
+            360.0, 360.00000000000006, 720.0, -360.0, -1.0, 1e9, np.nan,
+        ]
+        rng = np.random.default_rng(3)
+        genomes = rng.choice(edges, size=(400, space.dimension))
+        genomes[:, 0] = rng.choice(
+            [-3.0, 0.4, 0.5, 1.5, 2.5, 6.5, 7.2, 12.5, 13.5, 14.0], size=400
+        )
+        genomes[: len(edges), 2] = edges  # WindDir: circular
+        genomes[: len(edges), 8] = edges  # Aspect: circular
+
+        def bits(scenarios):
+            return [
+                (type(s.model), np.array(s.to_genome()).view(np.int64).tolist())
+                for s in scenarios
+            ]
+
+        assert bits(space.decode_many(genomes)) == bits(
+            [space.decode(g) for g in genomes]
+        )
+
     def test_scenario_replace(self, scenario):
         s2 = scenario.replace(wind_speed=33.0)
         assert s2.wind_speed == 33.0

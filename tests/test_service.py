@@ -589,3 +589,21 @@ class TestDrainLifecycle:
         inline = ResultsStore(tmp_path / "inline.jsonl")
         ExperimentRunner(store=inline).run(plan)
         assert _normalized(store) == _normalized(inline)
+
+
+# ----------------------------------------------------------------------
+# The /status hook lives exactly as long as the service
+# ----------------------------------------------------------------------
+class TestStatusHook:
+    def test_close_clears_the_status_provider(self, tmp_path):
+        from repro.obs.http import clear_status_provider, status_payload
+
+        clear_status_provider()
+        service = PredictionService(tmp_path / "spool", housekeep_interval=0.2)
+        service.start()
+        try:
+            assert status_payload() == service.queue.status()
+        finally:
+            service.close()
+        # no provider left behind: /status of a shared obs server idles
+        assert status_payload() == {"status": "idle"}
