@@ -384,11 +384,12 @@ class VectorizedBackend(EngineBackend):
     spread fields of a whole deduplicated batch come from one
     ``(genomes × classes)`` NumPy pass per fuel bed (:meth:`_fields`),
     bitwise equal to :class:`FireSimulator`'s per-scenario fields. The
-    propagation then runs per genome through the flat-index Dijkstra
-    kernels: ``run_uniform`` for one class, ``run_table`` over the fuel
-    codes, and the reach-clipped table/raster kernels for slope/aspect
-    rasters. Bitwise-identical genome rows are simulated once and
-    broadcast back.
+    propagation then runs through the flat-index Dijkstra kernels: one
+    :meth:`FlatGrid.burn` call per field chunk for one class (uniform
+    weights) or the fuel codes (per-class tables), and per genome the
+    reach-clipped table/raster kernels for slope/aspect rasters.
+    Bitwise-identical genome rows are simulated once and broadcast
+    back.
     """
 
     def __init__(self, spec: StepSpec) -> None:
@@ -690,15 +691,16 @@ class VectorizedBackend(EngineBackend):
             if self._mode == "raster":
                 self._raster_burned(ros, dir_, ecc, out)
             elif self._mode == "uniform":
-                for k, weights in enumerate(self._travel(ros, dir_, ecc)[:, 0]):
-                    out[k] = self._grid.run_uniform(
-                        weights.tolist(), self._seeded, horizon=horizon
-                    ) <= horizon
+                out[:] = self._grid.burn(
+                    self._travel(ros, dir_, ecc)[:, 0], None, self._seeded, horizon
+                )
             else:
-                for k, table in enumerate(self._travel(ros, dir_, ecc)):
-                    out[k] = self._grid.run_table(
-                        table, self._class_flat, self._seeded, horizon=horizon
-                    ) <= horizon
+                out[:] = self._grid.burn(
+                    self._travel(ros, dir_, ecc),
+                    self._class_flat,
+                    self._seeded,
+                    horizon,
+                )
         if self._mode != "raster":
             telemetry().counter(
                 "repro_engine_kernel_calls_total",

@@ -20,22 +20,33 @@ here run the *same* algorithm over flattened Python lists:
   across a whole genome batch (the geometry and the step-start burned
   region never change within a batch).
 
-Dijkstra settles each cell at its unique minimum arrival time
-regardless of heap tie order, and every candidate arrival is the same
-left-to-right float sum along its path, so the returned ignition-time
-maps are **bitwise identical** to the reference propagation — the
-property-test suite asserts this for all 13 NFFL fuel models.
+Travel times must be non-negative (every entry point rejects a
+negative one; NaN and ``inf`` are allowed and never relax anything).
+With non-negative weights float addition is monotone, so Dijkstra
+settles each cell at its minimum arrival time, over the paths into it,
+of the same left-to-right float sums, whatever order equal-time cells
+leave the heap in. Every arrival time up to the horizon is therefore
+order-independent, and the returned ignition-time maps are **bitwise
+identical** to the reference propagation — the property-test suite
+asserts this for all 13 NFFL fuel models.
 
 The heap loop itself runs in C (``fastprop.c``, built on first use by
 :mod:`repro.engine.native`) over NumPy copies of the same padded grid,
 seeds and offsets, which a grid converts once and reuses for every
-call. Where no compiler is available the Python loops below run
-instead; both give bitwise-equal maps.
+call. The C sweep uses an indexed heap (each cell queued at most once,
+improved in place) and starts only from the seeds that can relax a
+neighbour, so its pops need not follow the Python loops' ``(time,
+index)`` order; by the argument above the maps are the same.
+:meth:`FlatGrid.burn` runs a whole batch of uniform or per-class
+weight sets in one native call and returns their burned masks. Where no
+compiler is available the Python loops below run instead; both give
+bitwise-equal maps.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -47,6 +58,13 @@ __all__ = ["FlatGrid", "propagate_uniform", "propagate_raster"]
 
 _INF = float("inf")
 _BLOCKED = float("-inf")
+
+
+def _nonnegative(weights: np.ndarray) -> np.ndarray:
+    """``weights``, unless a travel time is negative (NaN passes)."""
+    if (weights < 0).any():
+        raise SimulationError("travel times must be non-negative")
+    return weights
 
 
 class FlatGrid:
@@ -151,14 +169,10 @@ class FlatGrid:
         ``seeded`` is a ``(times, heap)`` template from :meth:`seed`;
         it is copied, not consumed.
         """
-        if len(weights) != len(self.flat_offsets):
-            raise SimulationError(
-                f"{len(weights)} weights for {len(self.flat_offsets)} "
-                "stencil directions"
-            )
+        weights = self._weight_array(weights, 1)
         edges = [
-            (off, float(w))
-            for off, w in zip(self.flat_offsets, weights)
+            (off, w)
+            for off, w in zip(self.flat_offsets, weights.tolist())
             if w < _INF
         ]
         lib = native.load()
@@ -202,15 +216,9 @@ class FlatGrid:
         most 13 distinct Rothermel ellipses exist per scenario, so the
         ``(D, H, W)`` travel array collapses to a ``K × D`` table.
         """
-        for row in weight_table:
-            if len(row) != len(self.flat_offsets):
-                raise SimulationError(
-                    f"weight row has {len(row)} entries for "
-                    f"{len(self.flat_offsets)} stencil directions"
-                )
+        table = self._weight_array(weight_table, 2)
         lib = native.load()
         if lib is not None:
-            table = np.ascontiguousarray(weight_table, dtype=np.float64)
             return self._run_native(
                 lib,
                 seeded,
@@ -220,10 +228,7 @@ class FlatGrid:
                 classes=self._native_classes(class_flat, len(table)),
             )
         times, heap = seeded[0].copy(), seeded[1].copy()
-        class_edges = [
-            list(zip(self.flat_offsets, (float(w) for w in row)))
-            for row in weight_table
-        ]
+        class_edges = [list(zip(self.flat_offsets, row)) for row in table.tolist()]
         limit = _INF if horizon is None else float(horizon)
         push, pop = heapq.heappush, heapq.heappop
         while heap:
@@ -257,6 +262,7 @@ class FlatGrid:
                 f"travel_time shape {travel_time.shape} != "
                 f"({len(self.flat_offsets)}, {self.rows}, {self.cols})"
             )
+        _nonnegative(travel_time)
         # Embed each direction's plane into the padded flat grid
         # (padding value is irrelevant: padded cells stay blocked).
         padded = np.full(
@@ -300,7 +306,84 @@ class FlatGrid:
                     push(heap, (nt, ni))
         return self._finish(times, horizon)
 
+    def burn(
+        self,
+        weights: np.ndarray,
+        class_flat: Sequence[int] | None,
+        seeded: tuple[list[float], list[tuple[float, int]]],
+        horizon: float,
+    ) -> np.ndarray:
+        """Burned masks of a batch of propagations from one seeded state.
+
+        With ``class_flat`` ``None``, ``weights`` is ``(n, D)``: one
+        :meth:`run_uniform` weight vector per run; otherwise it is
+        ``(n, K, D)``: one :meth:`run_table` table per run over the
+        class map ``class_flat``. Returns the ``(n, rows, cols)`` bool
+        masks of the cells each run ignites by ``horizon`` (inclusive),
+        ``run_*(...) <= horizon`` for every run, in one native call.
+        """
+        weights = self._weight_array(weights, 2 if class_flat is None else 3)
+        horizon = float(horizon)
+        if not math.isfinite(horizon):
+            raise SimulationError(f"burn needs a finite horizon, got {horizon}")
+        lib = native.load()
+        if lib is None:
+            out = np.zeros((len(weights), self.rows, self.cols), dtype=bool)
+            for k, w in enumerate(weights):
+                times = (
+                    self.run_uniform(w, seeded, horizon)
+                    if class_flat is None
+                    else self.run_table(w, class_flat, seeded, horizon)
+                )
+                out[k] = times <= horizon
+            return out
+        template, seed_t, seed_i = self._native_seed(seeded)
+        classes = (
+            None
+            if class_flat is None
+            else self._native_classes(class_flat, weights.shape[1]).ctypes.data
+        )
+        out = np.empty((len(weights), self.rows, self.cols), dtype=np.uint8)
+        status = lib.fastprop_burn(
+            out.ctypes.data,
+            len(weights),
+            template.ctypes.data,
+            self.rows,
+            self.cols,
+            self.pad,
+            self.width,
+            seed_t.ctypes.data,
+            seed_i.ctypes.data,
+            seed_t.size,
+            self._offsets_arr.ctypes.data,
+            self._offsets_arr.size,
+            weights.ctypes.data,
+            math.prod(weights.shape[1:]),
+            classes,
+            horizon,
+        )
+        if status != 0:
+            raise MemoryError("native propagation kernel: allocation failed")
+        return out.view(bool)
+
     # ------------------------------------------------------------------
+    def _weight_array(self, weights, ndim: int) -> np.ndarray:
+        """``weights`` as a contiguous float64 array of ``ndim`` axes,
+        the last one per stencil direction, with no negative entry."""
+        n_dirs = len(self.flat_offsets)
+        try:
+            array = np.ascontiguousarray(weights, dtype=np.float64)
+        except ValueError as exc:  # ragged rows
+            raise SimulationError(
+                f"weight rows must each have {n_dirs} entries"
+            ) from exc
+        if array.ndim != ndim or array.shape[-1] != n_dirs:
+            raise SimulationError(
+                f"weights of shape {array.shape} for {n_dirs} stencil "
+                f"directions (expected {ndim} axes)"
+            )
+        return _nonnegative(array)
+
     def _native_seed(self, seeded) -> tuple:
         """``(times, seed_times, seed_indices)`` arrays of a seeded state.
 
@@ -309,6 +392,13 @@ class FlatGrid:
         cover the padded grid with every border and blocked sentinel in
         place, and every seed is an open cell — so no relaxation ever
         indexes outside the grid.
+
+        Only the seeds that can relax something are kept. Times only
+        decrease and weights are non-negative, so a seed whose every
+        stencil neighbour already starts no later than it (the interior
+        of a burned region, a cell walled in by sentinels) never
+        improves a neighbour; neither does a stale entry later than its
+        cell's own time, which the Python loops skip.
         """
         memo = self._seed_memo
         if memo is None or memo[0] is not seeded:
@@ -323,7 +413,11 @@ class FlatGrid:
                 or np.isneginf(times[seed_i]).any()
             ):
                 raise SimulationError("seeded state does not match this grid")
-            memo = self._seed_memo = (seeded, times, seed_t, seed_i)
+            neighbours = times[seed_i[:, None] + self._offsets_arr]
+            live = (seed_t <= times[seed_i]) & (
+                neighbours > seed_t[:, None]
+            ).any(axis=1)
+            memo = self._seed_memo = (seeded, times, seed_t[live], seed_i[live])
         return memo[1:]
 
     def _native_classes(self, class_flat, n_classes: int) -> np.ndarray:
@@ -365,6 +459,7 @@ class FlatGrid:
         times = template.copy()
         status = lib.fastprop_run(
             times.ctypes.data,
+            times.size,
             seed_t.ctypes.data,
             seed_i.ctypes.data,
             seed_t.size,
@@ -377,7 +472,7 @@ class FlatGrid:
             _INF if horizon is None else float(horizon),
         )
         if status != 0:
-            raise MemoryError("native propagation kernel: heap allocation failed")
+            raise MemoryError("native propagation kernel: allocation failed")
         return self._finish(times, horizon)
 
     def _finish(

@@ -54,6 +54,7 @@ _lock = threading.Lock()
 _ptr, _i64 = ctypes.c_void_p, ctypes.c_int64
 _RUN_ARGTYPES = [
     _ptr,  # times (float64[n_cells], updated in place)
+    _i64,  # n_cells
     _ptr,  # seed times (float64[n_seeds])
     _ptr,  # seed flat indices (int64[n_seeds])
     _i64,  # n_seeds
@@ -63,6 +64,24 @@ _RUN_ARGTYPES = [
     _ptr,  # per-cell class indices (int64[n_cells]) or NULL
     _i64,  # cell_step
     _i64,  # dir_step
+    ctypes.c_double,  # limit
+]
+_BURN_ARGTYPES = [
+    _ptr,  # burned masks (uint8[n_runs, rows, cols], written)
+    _i64,  # n_runs
+    _ptr,  # initial times (float64[n_cells])
+    _i64,  # rows
+    _i64,  # cols
+    _i64,  # pad
+    _i64,  # width (n_cells = (rows + 2 * pad) * width)
+    _ptr,  # seed times (float64[n_seeds])
+    _ptr,  # seed flat indices (int64[n_seeds])
+    _i64,  # n_seeds
+    _ptr,  # flat neighbour offsets (int64[n_dirs])
+    _i64,  # n_dirs
+    _ptr,  # weights (float64[n_runs, run_step])
+    _i64,  # run_step
+    _ptr,  # per-cell class indices (int64[n_cells]) or NULL
     ctypes.c_double,  # limit
 ]
 
@@ -154,11 +173,15 @@ def _build(cc: list[str], directory: Path, key: str) -> Path:
 def _open(path: Path) -> ctypes.CDLL | None:
     try:
         lib = ctypes.CDLL(str(path))
-        run = lib.fastprop_run
+        entries = (
+            (lib.fastprop_run, _RUN_ARGTYPES),
+            (lib.fastprop_burn, _BURN_ARGTYPES),
+        )
     except (OSError, AttributeError):
         return None
-    run.argtypes = _RUN_ARGTYPES
-    run.restype = ctypes.c_int
+    for entry, argtypes in entries:
+        entry.argtypes = argtypes
+        entry.restype = ctypes.c_int
     return lib
 
 

@@ -15,14 +15,13 @@ by replacing the loader, as on a machine without a compiler). The
 
 from __future__ import annotations
 
-import ctypes
-
 import numpy as np
 import pytest
 
 from repro.core.scenario import ParameterSpace
 from repro.engine import SimulationEngine, native
 from repro.engine.fastprop import FlatGrid, propagate_raster, propagate_uniform
+from repro.errors import SimulationError
 from repro.firelib.propagation import (
     _offset_azimuth_deg,
     propagate,
@@ -250,12 +249,33 @@ KERNEL_CASES = {
     },
     "inf-direction-weight": {"inf_dirs": [1, 4]},
     "no-horizon": {"horizon": None},
-    # more simultaneous heap entries than the C heap starts with
+    # 1600 scattered seeds: a heap of thousands of entries at once
     "heap-growth": {
         "size": 80,
         "seeds": [(r, c) for r in range(0, 80, 2) for c in range(0, 80, 2)],
         "horizon": 6.0,
     },
+    # a solid burned region: the native sweep drops its interior seeds
+    "solid-seeded-block": {
+        "seeds": [(r, c) for r in range(3, 9) for c in range(3, 10)],
+    },
+    # a late seed whose every neighbour is an earlier seed: dropped as a
+    # seed, reached (and possibly improved) through its neighbours
+    "late-seed-inside-earlier": {
+        "seeds": {
+            (6, 6): 3.0,
+            **{(6 + dr, 6 + dc): 0.0 for dr, dc in stencil(8)},
+        },
+    },
+    # an early seed ringed by later seeds it can still improve
+    "early-seed-inside-later": {
+        "seeds": {
+            **{(6 + dr, 6 + dc): 0.9 for dr, dc in stencil(8)},
+            (6, 6): 0.0,
+        },
+    },
+    # the only seed ignites exactly at the horizon: it counts as burned
+    "seed-at-horizon": {"seeds": {(2, 3): 20.0}},
 }
 
 
@@ -281,27 +301,26 @@ class TestFlatKernelsMatchReference:
             blocked[cell] = False
         for cell in params["blocked_seeds"]:
             blocked[cell] = True
-        if case == "heap-growth" and native.load() is not None:
-            init = ctypes.c_int64.in_dll(native.load(), "fastprop_heap_init")
-            assert len(seeds) > init.value
         expected = propagate(travel, seeds, horizon=horizon, blocked=blocked)
+        if case == "seed-at-horizon":
+            assert expected[2, 3] == horizon
         got = propagate_raster(
             travel, offsets, seeds, horizon=horizon, blocked=blocked
         )
         assert np.array_equal(expected, got)
 
         grid = FlatGrid((size, size), offsets, blocked)
+        seeded = grid.seed(seeds)
         classes = np.zeros((size + 2 * grid.pad, grid.width), dtype=np.int64)
         classes[grid.pad : grid.pad + size, grid.pad : grid.pad + size] = (
             np.arange(size * size).reshape(size, size)
         )
-        got_table = grid.run_table(
-            travel.reshape(len(offsets), -1).T,
-            classes.reshape(-1).tolist(),
-            grid.seed(seeds),
-            horizon=horizon,
-        )
+        class_flat = classes.reshape(-1).tolist()
+        table = travel.reshape(len(offsets), -1).T
+        got_table = grid.run_table(table, class_flat, seeded, horizon=horizon)
         assert np.array_equal(expected, got_table)
+        if case == "solid-seeded-block":  # the interior cannot relax anything
+            assert len(grid._native_seed(seeded)[1]) < len(seeded[1])
 
         weights = travel[:, 0, 0]
         expected_uniform = propagate(
@@ -319,6 +338,115 @@ class TestFlatKernelsMatchReference:
             blocked=blocked,
         )
         assert np.array_equal(expected_uniform, got_uniform)
+
+        if horizon is not None:
+            burned = grid.burn(table[None], class_flat, seeded, horizon)
+            assert np.array_equal(burned[0], expected <= horizon)
+            burned = grid.burn(weights[None], None, seeded, horizon)
+            assert np.array_equal(burned[0], expected_uniform <= horizon)
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    @pytest.mark.parametrize("mode", ["uniform", "table"])
+    def test_burn_matches_run_kernels(self, mode, n):
+        """One batched call equals the per-run kernels and the reference.
+
+        The 7-run batch holds all-zero weights (the whole open region
+        burns at once), unit weights (arrivals land exactly on the
+        integer horizon) and rows with ``inf`` and NaN travel times.
+        """
+        size, horizon = 14, 6.0
+        rng = np.random.default_rng(n)
+        offsets = stencil(8)
+        seeds = {(7, 7): 0.0, (2, 3): 1.5, (11, 2): 5.0}
+        blocked = rng.random((size, size)) < 0.15
+        for cell in seeds:
+            blocked[cell] = False
+        grid = FlatGrid((size, size), offsets, blocked)
+        seeded = grid.seed(seeds)
+        n_classes = 1 if mode == "uniform" else 3
+        weights = rng.uniform(0.5, 3.0, (n, n_classes, len(offsets)))
+        if n == 7:
+            weights[0] = 0.0
+            weights[1] = 1.0
+            weights[2][rng.random(weights[2].shape) < 0.3] = np.inf
+            weights[3, :, 2] = np.nan
+        class_map = rng.integers(0, n_classes, (size, size))
+        if mode == "uniform":
+            burned = grid.burn(weights[:, 0], None, seeded, horizon)
+            per_run = [grid.run_uniform(w[0], seeded, horizon) for w in weights]
+        else:
+            classes = np.zeros((size + 2 * grid.pad, grid.width), dtype=np.int64)
+            classes[grid.pad : grid.pad + size, grid.pad : grid.pad + size] = (
+                class_map
+            )
+            class_flat = classes.reshape(-1).tolist()
+            burned = grid.burn(weights, class_flat, seeded, horizon)
+            per_run = [
+                grid.run_table(w, class_flat, seeded, horizon) for w in weights
+            ]
+        assert burned.dtype == bool and burned.shape == (n, size, size)
+        assert not burned[:, blocked].any()
+        for k, w in enumerate(weights):
+            travel = np.moveaxis(w[class_map], -1, 0)  # (D, H, W)
+            expected = propagate(travel, seeds, horizon=horizon, blocked=blocked)
+            assert np.array_equal(burned[k], per_run[k] <= horizon)
+            assert np.array_equal(burned[k], expected <= horizon)
+        if n == 7:
+            assert (per_run[0] == 0.0).sum() > len(seeds)
+            assert burned[1][per_run[1] == horizon].any()
+
+    def test_negative_travel_times_are_rejected(self):
+        """Every entry point refuses a negative travel time; NaN and
+        ``inf`` never relax anything and stay allowed."""
+        offsets = stencil(8)
+        grid = FlatGrid((6, 6), offsets)
+        seeded = grid.seed([(3, 3)])
+        class_flat = [0] * (grid.width * (6 + 2 * grid.pad))
+        for bad in (-1.0, -np.inf):
+            weights = [1.0] * 7 + [bad]
+            with pytest.raises(SimulationError, match="non-negative"):
+                grid.run_uniform(weights, seeded, 5.0)
+            with pytest.raises(SimulationError, match="non-negative"):
+                grid.run_table([weights], class_flat, seeded, 5.0)
+            with pytest.raises(SimulationError, match="non-negative"):
+                grid.run_raster(
+                    np.broadcast_to(np.array(weights)[:, None, None], (8, 6, 6)),
+                    seeded,
+                    5.0,
+                )
+            with pytest.raises(SimulationError, match="non-negative"):
+                grid.burn(np.array([weights]), None, seeded, 5.0)
+            with pytest.raises(SimulationError, match="non-negative"):
+                grid.burn(np.array([[weights]]), class_flat, seeded, 5.0)
+        allowed = [1.0] * 6 + [np.nan, np.inf]
+        expected = grid.run_uniform(allowed, seeded, 5.0) <= 5.0
+        assert expected.any()
+        burned = grid.burn(np.array([allowed]), None, seeded, 5.0)
+        assert np.array_equal(burned[0], expected)
+        assert np.array_equal(
+            grid.run_table([allowed], class_flat, seeded, 5.0) <= 5.0, expected
+        )
+
+    def test_weight_shapes_are_checked(self):
+        offsets = stencil(8)
+        grid = FlatGrid((6, 6), offsets)
+        seeded = grid.seed([(3, 3)])
+        class_flat = [0] * (grid.width * (6 + 2 * grid.pad))
+        with pytest.raises(SimulationError):
+            grid.run_uniform([1.0] * 7, seeded, 5.0)
+        with pytest.raises(SimulationError):
+            grid.run_table([[1.0] * 8, [1.0] * 7], class_flat, seeded, 5.0)
+        with pytest.raises(SimulationError):
+            grid.run_table([[1.0] * 7], class_flat, seeded, 5.0)
+        with pytest.raises(SimulationError):
+            grid.burn(np.ones((2, 7)), None, seeded, 5.0)
+        with pytest.raises(SimulationError):
+            grid.burn(np.ones((2, 8)), class_flat, seeded, 5.0)  # no class axis
+        if native.load() is not None:  # the Python loops index the table
+            with pytest.raises(SimulationError, match="outside"):
+                grid.burn(np.ones((2, 1, 8)), [1] * len(class_flat), seeded, 5.0)
+        with pytest.raises(SimulationError):
+            grid.burn(np.ones((2, 8)), None, seeded, np.inf)
 
     def test_uniform_kernel_matches_constant_raster(self):
         offsets = stencil(8)

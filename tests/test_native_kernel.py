@@ -31,7 +31,8 @@ needs_compiler = pytest.mark.skipif(not HAS_COMPILER, reason="no C compiler")
 
 
 def _maps() -> list[np.ndarray]:
-    """One run of each kernel: timed seeds, blocked cells, inf weights."""
+    """One run of each kernel and a batch of each burn mode: timed
+    seeds, blocked cells, inf weights."""
     rng = np.random.default_rng(5)
     offsets = stencil(8)
     size = 20
@@ -48,10 +49,14 @@ def _maps() -> list[np.ndarray]:
         rng.integers(0, 3, (size, size))
     )
     table = rng.uniform(0.5, 4.0, (3, len(offsets)))
+    class_flat = classes.reshape(-1).tolist()
+    batch = rng.uniform(0.5, 4.0, (4, 3, len(offsets)))
     return [
         grid.run_uniform(travel[:, 0, 0].tolist(), seeded, horizon=15.0),
-        grid.run_table(table.tolist(), classes.reshape(-1).tolist(), seeded, 15.0),
+        grid.run_table(table.tolist(), class_flat, seeded, 15.0),
         grid.run_raster(travel, seeded, horizon=None),
+        grid.burn(batch[:, 0], None, seeded, 15.0),
+        grid.burn(batch, class_flat, seeded, 15.0),
     ]
 
 
