@@ -29,7 +29,6 @@ from repro.distributed.executors import (
     InlineExecutor,
     ProcessShardExecutor,
     WorkExecutor,
-    shard_assignments,
 )
 from repro.distributed.protocol import FleetAuthError, FleetError
 from repro.distributed.worker import backoff_delay, parse_address, run_worker
@@ -45,5 +44,4 @@ __all__ = [
     "backoff_delay",
     "parse_address",
     "run_worker",
-    "shard_assignments",
 ]

@@ -302,7 +302,7 @@ class UnitLedger:
             if isinstance(info, dict):
                 # an in-flight unit's elapsed time bounds its cost from
                 # below — a unit running long teaches the model before
-                # it completes; engine snapshots fold unconditionally
+                # it completes
                 unit = lease["unit"]
                 kernel = self._kernel_of.get(unit.group, "")
                 try:
@@ -312,7 +312,6 @@ class UnitLedger:
                 self.cost_model.observe_lower_bound(
                     kernel, unit.n_cells, elapsed
                 )
-                self.cost_model.fold_engine(info.get("engine_costs"))
             return {"type": "ok"}
 
     def complete(
@@ -389,8 +388,6 @@ class UnitLedger:
                 group=unit.group,
             )
             self.cost_model.observe(kernel, unit.n_cells, unit_seconds)
-            if isinstance(info, dict):
-                self.cost_model.fold_engine(info.get("engine_costs"))
             telemetry().histogram("repro_fleet_unit_seconds").observe(
                 lease_seconds
             )

@@ -55,7 +55,6 @@ __all__ = [
     "InlineExecutor",
     "ProcessShardExecutor",
     "WorkExecutor",
-    "shard_assignments",
 ]
 
 
@@ -74,25 +73,6 @@ class WorkExecutor(Protocol):
         to the runner's store by other processes (the runner re-reads
         the store in that case).
         """
-
-
-def shard_assignments(
-    pending: Sequence[int], shards: int
-) -> list[list[int]]:
-    """Round-robin split of pending group indices into shard work lists.
-
-    Kept for group-index callers; unit-level shard planning (the shard
-    executor's path) is
-    :func:`repro.experiments.work.assign_units_by_cost` over
-    :meth:`WorkSet.pending`. Never yields an empty assignment:
-    asking for more shards than there are pending groups simply
-    produces fewer shards, instead of spawning worker processes with
-    nothing to do.
-    """
-    if shards < 1:
-        raise ReproError(f"shards must be >= 1, got {shards}")
-    assignments = [list(pending[s::shards]) for s in range(shards)]
-    return [a for a in assignments if a]
 
 
 def _check_process_portable(runner: "ExperimentRunner", what: str) -> None:

@@ -34,10 +34,11 @@ always-on service (:mod:`repro.service`) alike — is a
 ``heartbeat``
     Keep a lease alive while a unit runs (``ok`` / ``expired``);
     echoes ``plan_id``. May carry a ``telemetry`` payload — the
-    worker's cumulative ``busy_seconds``, the in-flight unit's elapsed
-    time, and an ``engine_costs`` kernel-rate snapshot — folded into
-    the coordinator's live utilization view and its unit cost model
-    (an in-flight unit's elapsed time bounds its cost from below).
+    worker's cumulative ``busy_seconds`` and the in-flight unit's
+    elapsed time — folded into the coordinator's live utilization view
+    and its unit cost model (an in-flight unit's elapsed time bounds
+    its cost from below). An ``engine_costs`` field, which older workers
+    send, is ignored.
     Also carries ``metrics`` (a delta-encoded registry snapshot, see
     :func:`repro.obs.snapshot_delta`) which the coordinator folds into
     its fleet registry labelled by worker, and ``sent_at`` (the
@@ -47,9 +48,10 @@ always-on service (:mod:`repro.service`) alike — is a
     Report a leased unit finished (``ok`` / ``stale`` when the lease
     timed out and the unit was already re-leased); echoes ``plan_id``.
     Carries a ``telemetry`` payload (``unit_seconds``, cumulative
-    ``busy_seconds``, ``records``, ``cells``, ``engine_costs``) for
-    per-worker accounting and online cost-model updates, and the
-    worker's undrained ``records`` inline (an implicit drain). The
+    ``busy_seconds``, ``records``, ``cells``; an ``engine_costs`` field
+    from older workers is ignored) for per-worker accounting and online
+    cost-model updates, and the worker's undrained ``records`` inline
+    (an implicit drain). The
     reply carries ``next`` — a full lease decision (``unit``/``wait``/
     ``drain``/``bye``, for any plan) — so a steady-state worker pays
     one round-trip per unit. ``next`` rides ``stale`` replies too: a

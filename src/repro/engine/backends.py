@@ -24,8 +24,6 @@ touching the engine facade.
 from __future__ import annotations
 
 import math
-import os
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -36,7 +34,7 @@ from repro.core.scenario import ParameterSpace
 from repro.engine import native
 from repro.engine.fastprop import FlatGrid
 from repro.errors import ReproError, SimulationError
-from repro.firelib.ellipse import eccentricity_from_effective_wind, ros_at_azimuth
+from repro.firelib.ellipse import eccentricity_from_effective_wind
 from repro.firelib.propagation import _offset_azimuth_deg, stencil
 from repro.firelib.rothermel import ROS_EPSILON, FuelBed
 from repro.firelib.simulator import FireSimulator
@@ -45,172 +43,19 @@ from repro.obs import telemetry
 from repro.units import METERS_TO_FEET, MPH_TO_FTMIN
 
 #: Element budget of one field chunk: the three ``(chunk, n_classes)``
-#: field arrays plus the ``(chunk, n_classes, D)`` travel-time block
-#: (float64: ~32 MB); the raster kernel's per-genome ``(D, bh, bw)``
-#: travel block is not chunked.
+#: float64 field arrays (~32 MB).
 _FIELD_BLOCK_ELEMENTS = 4_000_000
 
 __all__ = [
     "StepSpec",
     "EngineBackend",
-    "KernelCostModel",
     "ReferenceBackend",
     "VectorizedBackend",
     "ProcessBackend",
     "register_backend",
     "backend_names",
     "create_backend",
-    "kernel_costs",
-    "reset_kernel_costs",
 ]
-
-#: Environment escape hatch pinning the heterogeneous-raster propagation
-#: kernel: ``table`` forces ``run_table``, ``raster`` forces
-#: ``run_raster``, anything else (or unset) leaves the adaptive model in
-#: charge. Both kernels are bitwise-equivalent, so forcing is safe — the
-#: hatch exists for tests and for debugging cost-model regressions.
-FORCE_KERNEL_ENV = "repro_engine_force_kernel"
-
-
-class KernelCostModel:
-    """Measured per-unit kernel costs, EMA-smoothed over prior calls.
-
-    The heterogeneous-raster path can propagate one genome through
-    either ``run_table`` (edge lists over the ``u`` terrain classes:
-    setup ~ ``u·D`` plus the Dijkstra sweep) or ``run_raster``
-    (flattened per-cell planes: setup ~ ``box·D``). Which is faster
-    depends on the machine, the box size and the class count — a fixed
-    class/box ratio guesses it, this model *measures* it: every call
-    updates an exponential moving average of that kernel's seconds per
-    work unit, and the next choice takes the cheaper prediction.
-
-    Until a kernel has a sample the model first defers to the static
-    ratio rule, then measures the still-unsampled kernel once. Every
-    ``probe_interval``-th adaptive choice deliberately takes the
-    *other* kernel, so one outlier measurement (a GC pause inflating
-    an EMA) cannot exclude a kernel for the rest of the process — its
-    rate keeps refreshing at a bounded ~1/``probe_interval`` cost.
-    Both kernels produce bitwise-identical times, so exploration never
-    changes results.
-    """
-
-    def __init__(self, alpha: float = 0.2, probe_interval: int = 64) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ReproError(f"EMA alpha must be in (0, 1], got {alpha}")
-        if probe_interval < 0:
-            raise ReproError(
-                f"probe_interval must be >= 0, got {probe_interval}"
-            )
-        self.alpha = alpha
-        self.probe_interval = probe_interval
-        self.rates: dict[str, float] = {}
-        self._choices = 0
-
-    @staticmethod
-    def work(kernel: str, n_classes: int, box_cells: int, n_dirs: int) -> int:
-        """The cost-driving unit count of one kernel invocation."""
-        if kernel == "table":
-            return n_classes * n_dirs + box_cells
-        return box_cells * n_dirs
-
-    def observe(
-        self,
-        kernel: str,
-        n_classes: int,
-        box_cells: int,
-        n_dirs: int,
-        seconds: float,
-    ) -> None:
-        """Fold one measured invocation into the kernel's EMA rate."""
-        work = self.work(kernel, n_classes, box_cells, n_dirs)
-        if work <= 0 or seconds <= 0.0:
-            return
-        obs = telemetry()
-        impl = native.impl()
-        obs.histogram(
-            "repro_engine_kernel_seconds", kernel=kernel, impl=impl
-        ).observe(seconds)
-        obs.counter(
-            "repro_engine_kernel_calls_total", kernel=kernel, impl=impl
-        ).inc()
-        rate = seconds / work
-        prev = self.rates.get(kernel)
-        self.rates[kernel] = (
-            rate if prev is None else prev + self.alpha * (rate - prev)
-        )
-
-    def choose(self, n_classes: int, box_cells: int, n_dirs: int) -> str:
-        """Pick the predicted-cheaper kernel for the given shape."""
-        forced = os.environ.get(FORCE_KERNEL_ENV, "").strip().lower()
-        if forced in ("table", "raster"):
-            return forced
-        table_rate = self.rates.get("table")
-        raster_rate = self.rates.get("raster")
-        if table_rate is None and raster_rate is None:
-            # un-primed: the static ratio rule (run_table pays O(u·D)
-            # setup, run_raster O(box·D) — take the table only when it
-            # is clearly the smaller)
-            return "table" if 4 * n_classes <= box_cells else "raster"
-        if table_rate is None:
-            return "table"
-        if raster_rate is None:
-            return "raster"
-        table_cost = table_rate * self.work("table", n_classes, box_cells, n_dirs)
-        raster_cost = raster_rate * self.work(
-            "raster", n_classes, box_cells, n_dirs
-        )
-        best = "table" if table_cost <= raster_cost else "raster"
-        self._choices += 1
-        if self.probe_interval and self._choices % self.probe_interval == 0:
-            return "raster" if best == "table" else "table"
-        return best
-
-    def snapshot(self) -> dict[str, float]:
-        """Serializable copy of the measured rates (fleet cost reports).
-
-        Workers attach this to their wire telemetry so a coordinator's
-        :class:`~repro.experiments.costs.UnitCostModel` can seed unit
-        cost estimates from engine measurements made anywhere in the
-        fleet.
-        """
-        return dict(self.rates)
-
-    def restore(self, snapshot) -> None:
-        """Fold a :meth:`snapshot` back in (existing rates EMA-merge).
-
-        Unknown kernels adopt the snapshot rate outright; already
-        measured kernels move toward it by ``alpha``, so restoring a
-        stale snapshot cannot erase fresher local measurements.
-        """
-        if not isinstance(snapshot, dict):
-            return
-        for kernel, rate in snapshot.items():
-            try:
-                rate = float(rate)
-            except (TypeError, ValueError):
-                continue
-            if rate <= 0.0:
-                continue
-            prev = self.rates.get(kernel)
-            self.rates[str(kernel)] = (
-                rate if prev is None else prev + self.alpha * (rate - prev)
-            )
-
-
-#: Process-wide cost model: measurements survive step and session
-#: boundaries, so later steps start from calibrated rates.
-_KERNEL_COSTS = KernelCostModel()
-
-
-def kernel_costs() -> KernelCostModel:
-    """The process-wide kernel cost model (snapshot it for the wire)."""
-    return _KERNEL_COSTS
-
-
-def reset_kernel_costs() -> None:
-    """Drop all measured kernel rates (tests and benchmarks)."""
-    _KERNEL_COSTS.rates.clear()
-    _KERNEL_COSTS._choices = 0
 
 
 @dataclass(frozen=True)
@@ -384,10 +229,10 @@ class VectorizedBackend(EngineBackend):
     spread fields of a whole deduplicated batch come from one
     ``(genomes × classes)`` NumPy pass per fuel bed (:meth:`_fields`),
     bitwise equal to :class:`FireSimulator`'s per-scenario fields. The
-    propagation then runs through the flat-index Dijkstra kernels: one
-    :meth:`FlatGrid.burn` call per field chunk for one class (uniform
-    weights) or the fuel codes (per-class tables), and per genome the
-    reach-clipped table/raster kernels for slope/aspect rasters.
+    propagation then takes one :meth:`FlatGrid.burn` call per field
+    chunk in every mode, over the whole grid's class map: the C kernel
+    turns a class's fields into travel times when a fire first leaves
+    one of its cells, so the work follows the cells a fire reaches.
     Bitwise-identical genome rows are simulated once and broadcast
     back.
     """
@@ -395,18 +240,17 @@ class VectorizedBackend(EngineBackend):
     def __init__(self, spec: StepSpec) -> None:
         super().__init__(spec)
         terrain = spec.terrain
-        self._offsets = stencil(spec.n_neighbors)
-        self._blocked = terrain.blocked_mask()
+        offsets = stencil(spec.n_neighbors)
         cell_ft = terrain.cell_size * METERS_TO_FEET
-        self._cell_ft = cell_ft
         self._azimuths = np.array(
-            [_offset_azimuth_deg(dr, dc) for dr, dc in self._offsets]
+            [_offset_azimuth_deg(dr, dc) for dr, dc in offsets]
         )
         self._distances = np.array(
-            [cell_ft * math.hypot(dr, dc) for dr, dc in self._offsets]
+            [cell_ft * math.hypot(dr, dc) for dr, dc in offsets]
         )
+        # The terrain mode, also the kernel label of its propagations.
         if terrain.slope is None and terrain.aspect is None:
-            self._mode = "uniform" if terrain.fuel is None else "fuel_table"
+            self._mode = "uniform" if terrain.fuel is None else "table"
         else:
             self._mode = "raster"
         # Terrain classes: the distinct (fuel, slope, aspect) tuples of
@@ -435,24 +279,21 @@ class VectorizedBackend(EngineBackend):
             col += 1
         if terrain.aspect is not None:
             self._class_aspect = uniq[:, col]
-        # Seed cells in row-major order, simulate_from_burned's ordering.
+        # The whole grid, seeded from the step-start region in row-major
+        # order (simulate_from_burned's), and its padded class map.
+        self._grid = FlatGrid(terrain.shape, offsets, terrain.blocked_mask())
         seed_rows, seed_cols = np.nonzero(spec.start_burned)
-        self._seed_cells = [
-            (int(r), int(c)) for r, c in zip(seed_rows, seed_cols)
-        ]
-        self._seed_bbox = (
-            (int(seed_rows.min()), int(seed_rows.max())),
-            (int(seed_cols.min()), int(seed_cols.max())),
+        self._seeded = self._grid.seed(
+            [(int(r), int(c)) for r, c in zip(seed_rows, seed_cols)]
         )
-        # Per-box propagation state, keyed by box bounds (reused across
-        # genomes and batches); the whole grid is the box of the
-        # uniform and fuel-table modes.
-        self._box_grids: dict[tuple[int, int, int, int], tuple] = {}
-        self._grid, self._seeded, self._class_flat, _ = self._box_grid(
-            (slice(0, terrain.rows), slice(0, terrain.cols))
+        pad = self._grid.pad
+        classes = np.zeros(
+            (terrain.rows + 2 * pad, self._grid.width), dtype=np.int64
         )
-        #: Heterogeneous-path propagation calls by chosen kernel.
-        self.kernel_calls: dict[str, int] = {"table": 0, "raster": 0}
+        classes[pad : pad + terrain.rows, pad : pad + terrain.cols] = (
+            self._class_of_cell
+        )
+        self._class_flat = classes.reshape(-1).tolist()
 
     # ------------------------------------------------------------------
     # One genome-axis field pass for every mode
@@ -546,135 +387,6 @@ class VectorizedBackend(EngineBackend):
             )
         return ros, dir_, ecc
 
-    def _travel(
-        self, ros: np.ndarray, dir_: np.ndarray, ecc: np.ndarray
-    ) -> np.ndarray:
-        """Per-direction travel times of ellipse fields, ``(*shape, D)``."""
-        rates = ros_at_azimuth(
-            ros[..., None], dir_[..., None], ecc[..., None], self._azimuths
-        )
-        with np.errstate(divide="ignore"):
-            return np.where(rates > ROS_EPSILON, self._distances / rates, np.inf)
-
-    def _reach_box(self, ros_peak: float) -> tuple[slice, slice]:
-        """Subgrid that provably contains everything the fire can reach.
-
-        Every stencil move advances the Chebyshev distance by at most
-        ``max(|dr|, |dc|) ≤ hypot(dr, dc)`` cells while costing at least
-        ``cell_ft·hypot(dr, dc) / ros_peak`` minutes, so reaching a cell
-        ``L`` Chebyshev-cells away from the seed set takes at least
-        ``L·cell_ft / ros_peak`` minutes. Cells beyond
-        ``horizon·ros_peak / cell_ft`` therefore stay unburned in the
-        reference propagation too — restricting travel-time assembly
-        and Dijkstra to this box cannot change the output.
-
-        The radius is rounded up to a multiple of 8 cells: enlarging
-        the box never changes the output, and quantizing collapses the
-        near-equal radii of a batch's many ros_max values onto a few
-        shared, cached box grids instead of one per distinct radius.
-        """
-        rows, cols = self.spec.terrain.shape
-        if ros_peak > ROS_EPSILON:
-            radius = int(math.ceil(self.spec.horizon * ros_peak / self._cell_ft)) + 2
-            radius = -(-radius // 8) * 8
-        else:
-            radius = 0
-        (r0, r1), (c0, c1) = self._seed_bbox
-        return (
-            slice(max(0, r0 - radius), min(rows, r1 + 1 + radius)),
-            slice(max(0, c0 - radius), min(cols, c1 + 1 + radius)),
-        )
-
-    def _box_grid(self, box: tuple[slice, slice]) -> tuple:
-        """Per-box propagation state, cached by box bounds.
-
-        Returns ``(grid, seeded, class_flat, class_of_cell)``: the
-        :class:`FlatGrid` of the box, its seeded state, the padded flat
-        class indices (``run_table`` input) and the unpadded class map
-        of the box.
-        """
-        key = (box[0].start, box[0].stop, box[1].start, box[1].stop)
-        cached = self._box_grids.get(key)
-        if cached is None:
-            rows, cols = key[1] - key[0], key[3] - key[2]
-            grid = FlatGrid((rows, cols), self._offsets, self._blocked[box])
-            seeded = grid.seed(
-                [(r - key[0], c - key[2]) for r, c in self._seed_cells]
-            )
-            pad = grid.pad
-            classes = np.zeros(
-                (rows + 2 * pad, grid.width), dtype=np.int64
-            )
-            box_classes = self._class_of_cell[box]
-            classes[pad : pad + rows, pad : pad + cols] = box_classes
-            cached = self._box_grids[key] = (
-                grid,
-                seeded,
-                classes.reshape(-1).tolist(),
-                box_classes,
-            )
-        return cached
-
-    def _raster_burned(self, ros, dir_, ecc, maps: np.ndarray) -> None:
-        """Burn the slope/aspect-raster genomes of one field chunk.
-
-        Per genome the Dijkstra run is clipped to the reachability box
-        of :meth:`_reach_box`, so slow/wet scenarios (the bulk of a
-        Table I sample) cost a handful of cells instead of the whole
-        grid, and the propagation kernel — ``run_table`` (class-axis
-        tables, cheap for quantized DEM rasters) vs ``run_raster``
-        (per-cell planes, cheap for continuous rasters) — is chosen by
-        the process-wide :class:`KernelCostModel` from measured
-        per-unit costs; the ``repro_engine_force_kernel`` environment
-        variable pins one kernel for tests. Both kernels are
-        bitwise-equivalent, so the choice only ever moves time, never
-        results. ``maps`` rows are written in place.
-        """
-        spec = self.spec
-        n_dirs = len(self._offsets)
-        for k in range(len(ros)):
-            # Class max == cell max: every class occurs on ≥1 cell.
-            box = self._reach_box(float(ros[k].max()))
-            grid, seeded, class_flat, box_classes = self._box_grid(box)
-            # The travel-time assembly, over the class axis (run_table)
-            # or the box's gathered per-cell fields (run_raster), is
-            # part of what the cost model measures.
-            kernel = _KERNEL_COSTS.choose(
-                self._n_classes, box_classes.size, n_dirs
-            )
-            start = time.perf_counter()
-            if kernel == "table":
-                # Blocked cells never enter the heap, so sharing a
-                # table row with open cells cannot leak fire out of
-                # them — no per-cell blocked override needed.
-                times = grid.run_table(
-                    self._travel(ros[k], dir_[k], ecc[k]),
-                    class_flat,
-                    seeded,
-                    horizon=spec.horizon,
-                )
-            else:
-                travel = np.moveaxis(
-                    self._travel(
-                        ros[k][box_classes],
-                        dir_[k][box_classes],
-                        ecc[k][box_classes],
-                    ),
-                    -1,
-                    0,
-                )  # (D, bh, bw)
-                travel[:, self._blocked[box]] = np.inf
-                times = grid.run_raster(travel, seeded, horizon=spec.horizon)
-            _KERNEL_COSTS.observe(
-                kernel,
-                self._n_classes,
-                box_classes.size,
-                n_dirs,
-                time.perf_counter() - start,
-            )
-            self.kernel_calls[kernel] += 1
-            maps[k][box] = times <= spec.horizon
-
     def _unique_burned(self, genomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Burned masks of the deduplicated batch + inverse index map."""
         genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
@@ -682,31 +394,21 @@ class VectorizedBackend(EngineBackend):
         decoded = self.spec.space.decode_matrix(uniq)
         horizon = self.spec.horizon
         maps = np.zeros((len(uniq), *self.spec.terrain.shape), dtype=bool)
-        chunk = max(
-            1, _FIELD_BLOCK_ELEMENTS // (self._n_classes * (3 + len(self._offsets)))
-        )
+        chunk = max(1, _FIELD_BLOCK_ELEMENTS // (3 * self._n_classes))
         for lo in range(0, len(uniq), chunk):
-            ros, dir_, ecc = self._fields(decoded[lo : lo + chunk])
-            out = maps[lo : lo + chunk]
-            if self._mode == "raster":
-                self._raster_burned(ros, dir_, ecc, out)
-            elif self._mode == "uniform":
-                out[:] = self._grid.burn(
-                    self._travel(ros, dir_, ecc)[:, 0], None, self._seeded, horizon
-                )
-            else:
-                out[:] = self._grid.burn(
-                    self._travel(ros, dir_, ecc),
-                    self._class_flat,
-                    self._seeded,
-                    horizon,
-                )
-        if self._mode != "raster":
-            telemetry().counter(
-                "repro_engine_kernel_calls_total",
-                kernel="uniform" if self._mode == "uniform" else "table",
-                impl=native.impl(),
-            ).inc(len(uniq))
+            maps[lo : lo + chunk] = self._grid.burn(
+                *self._fields(decoded[lo : lo + chunk]),
+                self._azimuths,
+                self._distances,
+                self._class_flat,
+                self._seeded,
+                horizon,
+            )
+        telemetry().counter(
+            "repro_engine_kernel_calls_total",
+            kernel=self._mode,
+            impl=native.impl(),
+        ).inc(len(uniq))
         return maps, inverse.reshape(-1)
 
     # ------------------------------------------------------------------

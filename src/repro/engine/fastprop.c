@@ -17,16 +17,20 @@
  * negative weights (NaN and inf never relax anything). Build without
  * -ffast-math and with -ffp-contract=off.
  *
- * The edge weight of direction d out of cell i is row[d * dir_step],
- * where row is weights + classes[i] * n_dirs when classes is given
- * (per-class table) and weights + i * cell_step otherwise (cell_step 0:
- * one weight per direction; cell_step 1 with dir_step = n_cells: one
- * plane per direction).
+ * The edge weight of direction d out of cell i is row[d], where row is
+ * weights + classes[i] * n_dirs (a per-class table) or, when classes is
+ * NULL, weights itself (one weight per direction).
  *
  * Two entry points share the sweep: fastprop_run updates one times
- * array in place; fastprop_burn runs n weight sets over one grid, seed
- * set and class map, reusing its buffers, and writes one burned mask of
- * the inner grid per run.
+ * array in place from a weight table; fastprop_burn runs n sets of
+ * per-class ellipse fields over one grid, seed set and class map and
+ * writes one burned mask of the inner grid per run. It fills a class's
+ * row of travel times the first time the sweep pops a cell of that
+ * class, with the float operations of fastprop._travel (ros_at_azimuth,
+ * then distance / rate) in their order, so work scales with the cells a
+ * fire reaches, not with the classes.
+ * fastprop_cos exposes the libm cos those rows use, so the loader can
+ * check it against NumPy's before trusting the kernel.
  */
 #include <math.h>
 #include <stdint.h>
@@ -43,6 +47,19 @@ typedef struct {
     int64_t *pos; /* heap slot of each cell, -1 when not in the heap */
     int64_t n;
 } iheap;
+
+/* One run's ellipse fields and the travel rows filled from them. */
+typedef struct {
+    const double *ros, *dir, *ecc; /* per class */
+    const double *az, *dist;       /* per stencil direction */
+    double eps;                    /* rates at or below it never spread */
+    double *rows;                  /* n_classes x n_dirs travel times */
+    int64_t *stamp;                /* run that filled each row */
+    int64_t run;
+} fields;
+
+/* np.radians: a multiply by the double nearest pi over 180. */
+static const double DEG2RAD = 3.14159265358979323846 / 180.0;
 
 static int heap_alloc(iheap *q, int64_t n_cells)
 {
@@ -111,12 +128,30 @@ static entry pop(iheap *q)
     return top;
 }
 
-/* One sweep; leaves the heap empty and every pos at -1. */
+/* Travel times of class c, as ros_at_azimuth then dist / rate, or inf
+ * at or below eps. The clamp keeps NaN, as np.maximum does. */
+static void fill_row(fields *f, int64_t c, int64_t n_dirs)
+{
+    double ros = f->ros[c], dir = f->dir[c], ecc = f->ecc[c];
+    double *row = f->rows + c * n_dirs;
+    for (int64_t d = 0; d < n_dirs; d++) {
+        double theta = (f->az[d] - dir) * DEG2RAD;
+        double denom = 1.0 - ecc * cos(theta);
+        if (denom < 1e-12)
+            denom = 1e-12;
+        double rate = ros * (1.0 - ecc) / denom;
+        row[d] = rate > f->eps ? f->dist[d] / rate : INFINITY;
+    }
+    f->stamp[c] = f->run;
+}
+
+/* One sweep; leaves the heap empty and every pos at -1. With f, weights
+ * is f->rows and each class row is filled on its first pop. */
 static void sweep(iheap *q, double *times, const double *seed_t,
                   const int64_t *seed_i, int64_t n_seeds,
                   const int64_t *offsets, int64_t n_dirs,
-                  const double *weights, const int64_t *classes,
-                  int64_t cell_step, int64_t dir_step, double limit)
+                  const double *weights, const int64_t *classes, fields *f,
+                  double limit)
 {
     for (int64_t s = 0; s < n_seeds; s++)
         update(q, seed_i[s], seed_t[s]);
@@ -124,12 +159,16 @@ static void sweep(iheap *q, double *times, const double *seed_t,
         entry e = pop(q);
         if (e.t > limit)
             break; /* all remaining arrivals exceed the horizon */
-        const double *row = classes != NULL
-            ? weights + classes[e.i] * n_dirs
-            : weights + e.i * cell_step;
+        const double *row = weights;
+        if (classes != NULL) {
+            int64_t c = classes[e.i];
+            if (f != NULL && f->stamp[c] != f->run)
+                fill_row(f, c, n_dirs);
+            row += c * n_dirs;
+        }
         for (int64_t d = 0; d < n_dirs; d++) {
             int64_t ni = e.i + offsets[d];
-            double nt = e.t + row[d * dir_step];
+            double nt = e.t + row[d];
             if (nt < times[ni]) {
                 times[ni] = nt;
                 update(q, ni, nt);
@@ -145,40 +184,49 @@ static void sweep(iheap *q, double *times, const double *seed_t,
 int fastprop_run(double *times, int64_t n_cells, const double *seed_t,
                  const int64_t *seed_i, int64_t n_seeds,
                  const int64_t *offsets, int64_t n_dirs,
-                 const double *weights, const int64_t *classes,
-                 int64_t cell_step, int64_t dir_step, double limit)
+                 const double *weights, const int64_t *classes, double limit)
 {
     iheap q;
     int status = heap_alloc(&q, n_cells);
     if (status == 0)
         sweep(&q, times, seed_t, seed_i, n_seeds, offsets, n_dirs, weights,
-              classes, cell_step, dir_step, limit);
+              classes, NULL, limit);
     heap_free(&q);
     return status;
 }
 
 /* n_runs sweeps from the initial times `init` (n_cells = (rows + 2 pad)
- * x width), run r with weights + r * run_step (one weight per direction
- * when classes is NULL, else a per-class table). out[r] is the
- * rows x cols mask of inner cells with -inf < t <= limit. Returns 0, or
- * -1 when the buffers could not be allocated. */
+ * x width), run r with the fields ros/dir/ecc + r * n_classes over the
+ * class map `classes`. out[r] is the rows x cols mask of inner cells
+ * with -inf < t <= limit. Returns 0, or -1 when the buffers could not be
+ * allocated. */
 int fastprop_burn(uint8_t *out, int64_t n_runs, const double *init,
                   int64_t rows, int64_t cols, int64_t pad, int64_t width,
                   const double *seed_t, const int64_t *seed_i,
                   int64_t n_seeds, const int64_t *offsets, int64_t n_dirs,
-                  const double *weights, int64_t run_step,
-                  const int64_t *classes, double limit)
+                  const double *ros, const double *dir, const double *ecc,
+                  int64_t n_classes, const double *az, const double *dist,
+                  double eps, const int64_t *classes, double limit)
 {
     int64_t n_cells = (rows + 2 * pad) * width;
     iheap q;
+    fields f = {NULL, NULL, NULL, az, dist, eps, NULL, NULL, 0};
     double *times = malloc((size_t)n_cells * sizeof(double));
+    f.rows = malloc((size_t)(n_classes * n_dirs + 1) * sizeof(double));
+    f.stamp = malloc((size_t)(n_classes + 1) * sizeof(int64_t));
     int status = heap_alloc(&q, n_cells);
-    if (times == NULL)
+    if (times == NULL || f.rows == NULL || f.stamp == NULL)
         status = -1;
+    else
+        memset(f.stamp, 0xff, (size_t)n_classes * sizeof(int64_t));
     for (int64_t r = 0; status == 0 && r < n_runs; r++) {
         memcpy(times, init, (size_t)n_cells * sizeof(double));
-        sweep(&q, times, seed_t, seed_i, n_seeds, offsets, n_dirs,
-              weights + r * run_step, classes, 0, 1, limit);
+        f.ros = ros + r * n_classes;
+        f.dir = dir + r * n_classes;
+        f.ecc = ecc + r * n_classes;
+        f.run = r;
+        sweep(&q, times, seed_t, seed_i, n_seeds, offsets, n_dirs, f.rows,
+              classes, &f, limit);
         uint8_t *mask = out + r * rows * cols;
         for (int64_t y = 0; y < rows; y++) {
             const double *t = times + (y + pad) * width + pad;
@@ -187,6 +235,15 @@ int fastprop_burn(uint8_t *out, int64_t n_runs, const double *init,
         }
     }
     free(times);
+    free(f.rows);
+    free(f.stamp);
     heap_free(&q);
     return status;
+}
+
+/* out[k] = cos(x[k]), the libm cos of fill_row. */
+void fastprop_cos(double *out, const double *x, int64_t n)
+{
+    for (int64_t k = 0; k < n; k++)
+        out[k] = cos(x[k]);
 }

@@ -37,10 +37,12 @@ call. The C sweep uses an indexed heap (each cell queued at most once,
 improved in place) and starts only from the seeds that can relax a
 neighbour, so its pops need not follow the Python loops' ``(time,
 index)`` order; by the argument above the maps are the same.
-:meth:`FlatGrid.burn` runs a whole batch of uniform or per-class
-weight sets in one native call and returns their burned masks. Where no
-compiler is available the Python loops below run instead; both give
-bitwise-equal maps.
+:meth:`FlatGrid.burn` runs a whole batch of per-class ellipse fields
+in one native call and returns their burned masks; the kernel turns a
+class's fields into travel times when a fire first leaves one of its
+cells, with the float operations of :func:`_travel` in their order.
+Where no compiler is available the Python loops below run instead; both
+give bitwise-equal maps.
 """
 
 from __future__ import annotations
@@ -53,11 +55,31 @@ import numpy as np
 
 from repro.engine import native
 from repro.errors import SimulationError
+from repro.firelib.ellipse import ros_at_azimuth
+from repro.firelib.rothermel import ROS_EPSILON
 
 __all__ = ["FlatGrid", "propagate_uniform", "propagate_raster"]
 
 _INF = float("inf")
 _BLOCKED = float("-inf")
+
+
+def _travel(
+    ros: np.ndarray,
+    dir_: np.ndarray,
+    ecc: np.ndarray,
+    azimuths: np.ndarray,
+    distances: np.ndarray,
+) -> np.ndarray:
+    """Per-direction travel times of ellipse fields, ``(*shape, D)``.
+
+    The NumPy form of the rows ``fastprop_burn`` fills: the spread rate
+    along each azimuth (:func:`ros_at_azimuth`), then ``distance /
+    rate``, or ``inf`` where the rate is at or below ``ROS_EPSILON``.
+    """
+    rates = ros_at_azimuth(ros[..., None], dir_[..., None], ecc[..., None], azimuths)
+    with np.errstate(divide="ignore"):
+        return np.where(rates > ROS_EPSILON, distances / rates, np.inf)
 
 
 def _nonnegative(weights: np.ndarray) -> np.ndarray:
@@ -245,108 +267,67 @@ class FlatGrid:
                     push(heap, (nt, ni))
         return self._finish(times, horizon)
 
-    def run_raster(
-        self,
-        travel_time: np.ndarray,
-        seeded: tuple[list[float], list[tuple[float, int]]],
-        horizon: float | None = None,
-    ) -> np.ndarray:
-        """Propagate with per-cell ``(D, H, W)`` travel times."""
-        travel_time = np.asarray(travel_time, dtype=np.float64)
-        if travel_time.shape != (
-            len(self.flat_offsets),
-            self.rows,
-            self.cols,
-        ):
-            raise SimulationError(
-                f"travel_time shape {travel_time.shape} != "
-                f"({len(self.flat_offsets)}, {self.rows}, {self.cols})"
-            )
-        _nonnegative(travel_time)
-        # Embed each direction's plane into the padded flat grid
-        # (padding value is irrelevant: padded cells stay blocked).
-        padded = np.full(
-            (travel_time.shape[0], self.rows + 2 * self.pad, self.width),
-            np.inf,
-            dtype=np.float64,
-        )
-        padded[
-            :, self.pad : self.pad + self.rows, self.pad : self.pad + self.cols
-        ] = travel_time
-        lib = native.load()
-        if lib is not None:
-            return self._run_native(
-                lib,
-                seeded,
-                self._offsets_arr,
-                padded.reshape(-1),
-                horizon,
-                cell_step=1,
-                dir_step=padded[0].size,
-            )
-        edges = [
-            (off, plane.reshape(-1).tolist())
-            for off, plane in zip(self.flat_offsets, padded)
-        ]
-
-        times, heap = seeded[0].copy(), seeded[1].copy()
-        limit = _INF if horizon is None else float(horizon)
-        push, pop = heapq.heappush, heapq.heappop
-        while heap:
-            t, i = pop(heap)
-            if t > times[i]:
-                continue  # stale entry
-            if t > limit:
-                break
-            for off, plane in edges:
-                ni = i + off
-                nt = t + plane[i]
-                if nt < times[ni]:
-                    times[ni] = nt
-                    push(heap, (nt, ni))
-        return self._finish(times, horizon)
-
     def burn(
         self,
-        weights: np.ndarray,
-        class_flat: Sequence[int] | None,
+        ros: np.ndarray,
+        dir_: np.ndarray,
+        ecc: np.ndarray,
+        azimuths: np.ndarray,
+        distances: np.ndarray,
+        class_flat: Sequence[int],
         seeded: tuple[list[float], list[tuple[float, int]]],
         horizon: float,
     ) -> np.ndarray:
         """Burned masks of a batch of propagations from one seeded state.
 
-        With ``class_flat`` ``None``, ``weights`` is ``(n, D)``: one
-        :meth:`run_uniform` weight vector per run; otherwise it is
-        ``(n, K, D)``: one :meth:`run_table` table per run over the
-        class map ``class_flat``. Returns the ``(n, rows, cols)`` bool
-        masks of the cells each run ignites by ``horizon`` (inclusive),
-        ``run_*(...) <= horizon`` for every run, in one native call.
+        Run ``k`` spreads the ellipse fields ``ros[k]``, ``dir_[k]``
+        and ``ecc[k]`` — ``(n, K)`` arrays, one column per class of the
+        padded class map ``class_flat`` — along the stencil's
+        ``azimuths`` (degrees) and ``distances``: its travel times are
+        the ``(K, D)`` table :func:`_travel` of its fields, and its mask
+        is ``run_table(table, class_flat, seeded, horizon) <= horizon``.
+        Returns the ``(n, rows, cols)`` bool masks of the cells each run
+        ignites by ``horizon`` (inclusive), in one native call that
+        fills a class's row of travel times only when a fire first
+        leaves a cell of that class.
         """
-        weights = self._weight_array(weights, 2 if class_flat is None else 3)
+        ros, dir_, ecc = (
+            np.ascontiguousarray(field, dtype=np.float64)
+            for field in (ros, dir_, ecc)
+        )
+        if ros.ndim != 2 or dir_.shape != ros.shape or ecc.shape != ros.shape:
+            raise SimulationError(
+                f"fields of shapes {ros.shape}, {dir_.shape}, {ecc.shape}: "
+                "expected three equal (runs, classes) arrays"
+            )
+        n_dirs = len(self.flat_offsets)
+        azimuths, distances = (
+            np.ascontiguousarray(values, dtype=np.float64)
+            for values in (azimuths, distances)
+        )
+        if azimuths.shape != (n_dirs,) or distances.shape != (n_dirs,):
+            raise SimulationError(
+                f"stencil azimuths {azimuths.shape} and distances "
+                f"{distances.shape} for {n_dirs} directions"
+            )
+        _nonnegative(distances)
         horizon = float(horizon)
         if not math.isfinite(horizon):
             raise SimulationError(f"burn needs a finite horizon, got {horizon}")
+        classes = self._native_classes(class_flat, ros.shape[1])
         lib = native.load()
         if lib is None:
-            out = np.zeros((len(weights), self.rows, self.cols), dtype=bool)
-            for k, w in enumerate(weights):
-                times = (
-                    self.run_uniform(w, seeded, horizon)
-                    if class_flat is None
-                    else self.run_table(w, class_flat, seeded, horizon)
-                )
+            out = np.zeros((len(ros), self.rows, self.cols), dtype=bool)
+            for k in range(len(ros)):
+                table = _travel(ros[k], dir_[k], ecc[k], azimuths, distances)
+                times = self.run_table(table, class_flat, seeded, horizon)
                 out[k] = times <= horizon
             return out
         template, seed_t, seed_i = self._native_seed(seeded)
-        classes = (
-            None
-            if class_flat is None
-            else self._native_classes(class_flat, weights.shape[1]).ctypes.data
-        )
-        out = np.empty((len(weights), self.rows, self.cols), dtype=np.uint8)
+        out = np.empty((len(ros), self.rows, self.cols), dtype=np.uint8)
         status = lib.fastprop_burn(
             out.ctypes.data,
-            len(weights),
+            len(ros),
             template.ctypes.data,
             self.rows,
             self.cols,
@@ -356,10 +337,15 @@ class FlatGrid:
             seed_i.ctypes.data,
             seed_t.size,
             self._offsets_arr.ctypes.data,
-            self._offsets_arr.size,
-            weights.ctypes.data,
-            math.prod(weights.shape[1:]),
-            classes,
+            n_dirs,
+            ros.ctypes.data,
+            dir_.ctypes.data,
+            ecc.ctypes.data,
+            ros.shape[1],
+            azimuths.ctypes.data,
+            distances.ctypes.data,
+            ROS_EPSILON,
+            classes.ctypes.data,
             horizon,
         )
         if status != 0:
@@ -438,8 +424,8 @@ class FlatGrid:
             )
         if memo[2] < 0 or memo[3] >= n_classes:
             raise SimulationError(
-                f"class indices [{memo[2]}, {memo[3]}] outside a "
-                f"{n_classes}-row weight table"
+                f"class indices [{memo[2]}, {memo[3]}] outside "
+                f"{n_classes} classes"
             )
         return memo[1]
 
@@ -451,8 +437,6 @@ class FlatGrid:
         weights: np.ndarray,
         horizon: float | None,
         classes: np.ndarray | None = None,
-        cell_step: int = 0,
-        dir_step: int = 1,
     ) -> np.ndarray:
         """One sweep of the C kernel; see ``fastprop.c`` for the layout."""
         template, seed_t, seed_i = self._native_seed(seeded)
@@ -467,8 +451,6 @@ class FlatGrid:
             offsets.size,
             weights.ctypes.data,
             None if classes is None else classes.ctypes.data,
-            cell_step,
-            dir_step,
             _INF if horizon is None else float(horizon),
         )
         if status != 0:
@@ -519,8 +501,9 @@ def propagate_raster(
     """Earliest-arrival times from a ``(D, H, W)`` travel-time array.
 
     The heterogeneous-terrain case: same inputs and semantics as
-    :func:`repro.firelib.propagation.propagate`, with the heap loop run
-    over flattened Python lists.
+    :func:`repro.firelib.propagation.propagate`, run through
+    :meth:`FlatGrid.run_table` with one class per cell (class ``k`` is
+    the row-major cell ``k``, its table row that cell's travel times).
     """
     travel_time = np.asarray(travel_time, dtype=np.float64)
     if travel_time.ndim != 3:
@@ -532,5 +515,13 @@ def propagate_raster(
             f"stencil size {len(offsets)} != travel_time directions "
             f"{travel_time.shape[0]}"
         )
-    grid = FlatGrid(travel_time.shape[1:], offsets, blocked)
-    return grid.run_raster(travel_time, grid.seed(ignitions), horizon)
+    rows, cols = travel_time.shape[1:]
+    grid = FlatGrid((rows, cols), offsets, blocked)
+    classes = np.zeros((rows + 2 * grid.pad, grid.width), dtype=np.int64)
+    classes[grid.pad : grid.pad + rows, grid.pad : grid.pad + cols] = np.arange(
+        rows * cols
+    ).reshape(rows, cols)
+    table = travel_time.reshape(len(offsets), -1).T
+    return grid.run_table(
+        table, classes.reshape(-1).tolist(), grid.seed(ignitions), horizon
+    )

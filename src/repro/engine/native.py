@@ -18,9 +18,15 @@ workers starting together) never load a half-written library. A cached
 library whose bytes do not match its digest (truncated, corrupt) is
 never loaded; a fresh build replaces it.
 
-When there is no compiler, or every build or load fails, :func:`load`
-returns ``None`` and the kernels run their Python loops — bitwise the
-same results, only slower. :func:`impl` names the one in use.
+The kernel computes travel times with libm ``cos`` where the NumPy
+path takes ``np.cos``; :func:`load` checks the two bitwise on a fixed
+set of probe angles (:func:`cos_agrees`) and refuses a kernel that
+disagrees.
+
+When there is no compiler, every build or load fails, or the ``cos``
+check fails, :func:`load` returns ``None`` and the kernels run their
+Python loops — bitwise the same results, only slower. :func:`impl`
+names the one in use.
 """
 
 from __future__ import annotations
@@ -39,13 +45,27 @@ import tempfile
 import threading
 from pathlib import Path
 
-__all__ = ["SOURCE", "FLAGS", "compiler", "cache_dirs", "library_key", "load", "impl"]
+import numpy as np
+
+__all__ = [
+    "SOURCE",
+    "FLAGS",
+    "LIBS",
+    "compiler",
+    "cache_dirs",
+    "library_key",
+    "cos_agrees",
+    "load",
+    "impl",
+]
 
 #: The kernel source, compiled on first use.
 SOURCE = Path(__file__).with_name("fastprop.c")
 #: Compiler flags. No ``-ffast-math`` and no floating-point contraction:
 #: the kernel must add and compare doubles exactly as Python does.
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+#: Libraries linked after the source: the travel rows call libm ``cos``.
+LIBS = ("-lm",)
 
 _UNSET = object()
 _loaded: object = _UNSET
@@ -60,10 +80,8 @@ _RUN_ARGTYPES = [
     _i64,  # n_seeds
     _ptr,  # flat neighbour offsets (int64[n_dirs])
     _i64,  # n_dirs
-    _ptr,  # weights (float64)
+    _ptr,  # weights (float64[n_classes, n_dirs], or [n_dirs] without classes)
     _ptr,  # per-cell class indices (int64[n_cells]) or NULL
-    _i64,  # cell_step
-    _i64,  # dir_step
     ctypes.c_double,  # limit
 ]
 _BURN_ARGTYPES = [
@@ -79,10 +97,20 @@ _BURN_ARGTYPES = [
     _i64,  # n_seeds
     _ptr,  # flat neighbour offsets (int64[n_dirs])
     _i64,  # n_dirs
-    _ptr,  # weights (float64[n_runs, run_step])
-    _i64,  # run_step
-    _ptr,  # per-cell class indices (int64[n_cells]) or NULL
+    _ptr,  # ros (float64[n_runs, n_classes])
+    _ptr,  # heading, degrees (float64[n_runs, n_classes])
+    _ptr,  # eccentricity (float64[n_runs, n_classes])
+    _i64,  # n_classes
+    _ptr,  # stencil azimuths, degrees (float64[n_dirs])
+    _ptr,  # stencil distances (float64[n_dirs])
+    ctypes.c_double,  # spread-rate epsilon
+    _ptr,  # per-cell class indices (int64[n_cells])
     ctypes.c_double,  # limit
+]
+_COS_ARGTYPES = [
+    _ptr,  # out (float64[n], written)
+    _ptr,  # angles, radians (float64[n])
+    _i64,  # n
 ]
 
 
@@ -122,9 +150,10 @@ def _private(directory: Path) -> bool:
 
 
 def library_key(cc: list[str]) -> str:
-    """Hash of what a build depends on: source, compiler, flags, platform."""
+    """Hash of what a build depends on: source, compiler, flags,
+    libraries, platform."""
     digest = hashlib.sha256(SOURCE.read_bytes())
-    for part in (*cc, *FLAGS, sys.platform, platform.machine()):
+    for part in (*cc, *FLAGS, *LIBS, sys.platform, platform.machine()):
         digest.update(b"\0" + part.encode())
     return digest.hexdigest()[:16]
 
@@ -155,7 +184,7 @@ def _build(cc: list[str], directory: Path, key: str) -> Path:
     os.close(fd)
     try:
         subprocess.run(
-            [*cc, *FLAGS, "-o", tmp, str(SOURCE)],
+            [*cc, *FLAGS, "-o", tmp, str(SOURCE), *LIBS],
             check=True,
             capture_output=True,
             timeout=120,
@@ -174,15 +203,40 @@ def _open(path: Path) -> ctypes.CDLL | None:
     try:
         lib = ctypes.CDLL(str(path))
         entries = (
-            (lib.fastprop_run, _RUN_ARGTYPES),
-            (lib.fastprop_burn, _BURN_ARGTYPES),
+            (lib.fastprop_run, _RUN_ARGTYPES, ctypes.c_int),
+            (lib.fastprop_burn, _BURN_ARGTYPES, ctypes.c_int),
+            (lib.fastprop_cos, _COS_ARGTYPES, None),
         )
     except (OSError, AttributeError):
         return None
-    for entry, argtypes in entries:
+    for entry, argtypes, restype in entries:
         entry.argtypes = argtypes
-        entry.restype = ctypes.c_int
+        entry.restype = restype
     return lib
+
+
+def _cos_probes() -> np.ndarray:
+    """Fixed probe angles: the range the kernel's rows take, ``(az -
+    heading)`` in radians over ``(-2π, 2π)``, seeded, plus exact
+    multiples of a quarter turn."""
+    rng = np.random.default_rng(0x5EED)
+    degrees = rng.uniform(0.0, 360.0, 4096) - rng.uniform(0.0, 360.0, 4096)
+    quarters = np.arange(-8, 9) * 90.0
+    return np.radians(np.concatenate([degrees, quarters]))
+
+
+def cos_agrees(lib) -> bool:
+    """Whether the kernel's libm ``cos`` equals ``np.cos`` bitwise on
+    the fixed probe angles.
+
+    The NumPy path and the reference simulator take ``np.cos``; a
+    kernel whose ``cos`` rounds one probe differently could break the
+    bitwise parity of its maps, so :func:`load` refuses it.
+    """
+    probes = _cos_probes()
+    got = np.empty_like(probes)
+    lib.fastprop_cos(got.ctypes.data, probes.ctypes.data, probes.size)
+    return got.tobytes() == np.cos(probes).tobytes()
 
 
 def _build_and_load() -> ctypes.CDLL | None:
@@ -203,12 +257,13 @@ def _build_and_load() -> ctypes.CDLL | None:
             continue  # unwritable directory or failed build
         lib = _open(path)
         if lib is not None:
-            return lib
+            return lib if cos_agrees(lib) else None
     return None
 
 
 def load() -> ctypes.CDLL | None:
-    """The native kernel library, built on first use; ``None`` without one.
+    """The native kernel library, built on first use; ``None`` without
+    one, or when its ``cos`` disagrees with NumPy's (:func:`cos_agrees`).
 
     The outcome (library or ``None``) is remembered for the life of the
     process, so a machine without a compiler tries to build once.

@@ -10,12 +10,10 @@ EMA-smoothed per-cell rate per kernel key:
   every ``(kernel, cells, seconds)`` cost report a worker attaches to
   its ``complete``/heartbeat messages, so the model is fleet-wide, not
   per-process;
-* before a kernel has a sample, the estimate falls back to an
-  **engine-derived prior**: workers also ship
-  :meth:`~repro.engine.backends.KernelCostModel.snapshot` rates
-  (seconds per engine work unit), which — multiplied by a per-kernel
-  ``prior_work`` magnitude derived from the plan's budget — give a
-  relative ordering across groups of different shapes;
+* before a kernel has a sample, the estimate falls back to a
+  **plan-derived prior**: a per-kernel ``prior_work`` magnitude derived
+  from the plan's budget, times a default seconds-per-work-unit rate,
+  which gives a relative ordering across groups of different shapes;
 * with neither, the mean of the measured rates of *other* kernels, and
   finally a fixed default, so an estimate always exists.
 
@@ -86,13 +84,13 @@ class UnitCostModel:
     Parameters
     ----------
     alpha:
-        EMA smoothing factor for measured per-cell rates (and folded
-        engine rates): ``rate += alpha * (sample - rate)``.
+        EMA smoothing factor for measured per-cell rates:
+        ``rate += alpha * (sample - rate)``.
     default_rate:
         Per-cell seconds assumed when nothing at all is known.
     default_engine_rate:
-        Seconds per engine work unit assumed when priors exist but no
-        engine kernel rate has been folded yet.
+        Seconds per engine work unit that scale a kernel's
+        ``prior_work`` before it has a measured rate.
     """
 
     def __init__(
@@ -112,8 +110,6 @@ class UnitCostModel:
         self.rates: dict[str, float] = {}
         #: number of measured unit timings folded per kernel key
         self.samples: dict[str, int] = {}
-        #: folded engine kernel rates (seconds per engine work unit)
-        self.engine: dict[str, float] = {}
         #: per-kernel prior work magnitude (engine work units per cell)
         self.prior_work: dict[str, float] = {}
 
@@ -156,26 +152,6 @@ class UnitCostModel:
         if float(seconds) / int(cells) > self.rate(kernel):
             self.observe(kernel, cells, seconds)
 
-    def fold_engine(self, snapshot) -> None:
-        """Fold a worker-shipped :class:`KernelCostModel` snapshot.
-
-        ``snapshot`` maps engine kernel names to measured seconds per
-        engine work unit; malformed payloads (wire input) are ignored.
-        """
-        if not isinstance(snapshot, Mapping):
-            return
-        for kernel, rate in snapshot.items():
-            try:
-                rate = float(rate)
-            except (TypeError, ValueError):
-                continue
-            if rate <= 0.0:
-                continue
-            prev = self.engine.get(str(kernel))
-            self.engine[str(kernel)] = (
-                rate if prev is None else prev + self.alpha * (rate - prev)
-            )
-
     # ------------------------------------------------------------------
     def rate(self, kernel: str) -> float:
         """Per-cell seconds for ``kernel``: measured, else prior, else
@@ -185,12 +161,7 @@ class UnitCostModel:
             return measured
         prior = self.prior_work.get(kernel)
         if prior is not None:
-            engine_rate = (
-                sum(self.engine.values()) / len(self.engine)
-                if self.engine
-                else self.default_engine_rate
-            )
-            return prior * engine_rate
+            return prior * self.default_engine_rate
         if self.rates:
             return sum(self.rates.values()) / len(self.rates)
         return self.default_rate
@@ -225,13 +196,16 @@ class UnitCostModel:
             "default_engine_rate": self.default_engine_rate,
             "rates": dict(sorted(self.rates.items())),
             "samples": dict(sorted(self.samples.items())),
-            "engine": dict(sorted(self.engine.items())),
             "prior_work": dict(sorted(self.prior_work.items())),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "UnitCostModel":
-        """Inverse of :meth:`to_dict`, with validation."""
+        """Inverse of :meth:`to_dict`, with validation.
+
+        Snapshots written before engine kernel rates were dropped carry
+        an ``engine`` map; it is ignored.
+        """
         try:
             model = cls(
                 alpha=float(data.get("alpha", 0.3)),
@@ -247,10 +221,6 @@ class UnitCostModel:
             model.samples = {
                 str(k): int(v)
                 for k, v in dict(data.get("samples", {})).items()
-            }
-            model.engine = {
-                str(k): float(v)
-                for k, v in dict(data.get("engine", {})).items()
             }
             model.prior_work = {
                 str(k): float(v)
@@ -328,16 +298,11 @@ def plan_cost_model(plan) -> UnitCostModel:
     ``steps`` steps of a ``size²`` grid with an 8-cell neighborhood.
     That product — averaged over the plan's systems, whose budgets may
     differ — seeds each kernel's ``prior_work``, so groups order
-    correctly by *relative* cost from the first grant. The local
-    engine's measured kernel rates
-    (:func:`repro.engine.backends.kernel_costs`) are folded in when
-    available to scale the prior toward real seconds.
+    correctly by *relative* cost from the first grant; measured unit
+    timings take over as units complete.
     """
-    from repro.engine.backends import kernel_costs
-
     model = UnitCostModel()
     seed_plan_priors(model, plan)
-    model.fold_engine(kernel_costs().snapshot())
     return model
 
 

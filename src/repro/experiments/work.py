@@ -39,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 __all__ = [
     "WorkUnit",
     "WorkSet",
-    "assign_units",
     "assign_units_by_cost",
     "improve_assignment",
     "merge_group_units",
@@ -228,15 +227,6 @@ class WorkSet:
         return len(self.units)
 
     # ------------------------------------------------------------------
-    def split(self, parts: int, min_unit_cells: int = 1) -> "WorkSet":
-        """Copy with units split toward ``parts`` schedulable pieces
-        (see :func:`split_units`); cells and results are unchanged."""
-        return WorkSet(
-            plan=self.plan,
-            units=tuple(split_units(self.units, parts, min_unit_cells)),
-        )
-
-    # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """Stable JSON wire form: the plan plus its pending units."""
         return {
@@ -284,30 +274,6 @@ def split_units(
         first, second = out.pop(i).split()
         out += [first, second]
     return out
-
-
-def assign_units(
-    units: Sequence[WorkUnit], parts: int
-) -> list[list[WorkUnit]]:
-    """Cell-balanced assignment of units to at most ``parts`` buckets.
-
-    Greedy longest-processing-time: units are placed largest-first
-    into the least-loaded bucket (ties toward the lowest bucket), so
-    bucket cell-loads stay within one unit of each other. Never yields
-    an empty bucket — fewer units than ``parts`` produce fewer buckets
-    instead of idle workers.
-    """
-    if parts < 1:
-        raise ReproError(f"parts must be >= 1, got {parts}")
-    buckets: list[list[WorkUnit]] = [
-        [] for _ in range(min(parts, len(units)))
-    ]
-    loads = [0] * len(buckets)
-    for unit in sorted(units, key=lambda u: -u.n_cells):
-        k = min(range(len(buckets)), key=loads.__getitem__)
-        buckets[k].append(unit)
-        loads[k] += unit.n_cells
-    return buckets
 
 
 # ----------------------------------------------------------------------
@@ -452,8 +418,9 @@ def assign_units_by_cost(
 ) -> list[list[WorkUnit]]:
     """Cost-balanced assignment: LPT by predicted cost, then polish.
 
-    Like :func:`assign_units` but greedy on ``rate_of``-predicted unit
-    cost instead of cell count, followed by the
+    Greedy longest-processing-time on ``rate_of``-predicted unit cost:
+    units are placed most-expensive-first into the least-loaded bucket,
+    followed by the
     :func:`improve_assignment` neighborhood pass. Never yields an empty
     bucket; deterministic (ties break toward the earlier unit and the
     lower bucket).

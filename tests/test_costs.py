@@ -101,24 +101,25 @@ class TestUnitCostModel:
         )
         # nothing known at all: the fixed default
         assert model.rate("k") == pytest.approx(7.0)
-        # a prior magnitude without engine rates: default engine rate
+        # a prior magnitude: scaled by the default engine rate
         model.set_prior_work("k", 2_000_000.0)
         assert model.rate("k") == pytest.approx(2.0)
-        # folded engine rates rescale the prior
-        model.fold_engine({"kernel": 2e-6})
-        assert model.rate("k") == pytest.approx(4.0)
         # measured beats everything
         model.observe("k", 10, 5.0)
         assert model.rate("k") == pytest.approx(0.5)
         # an unknown kernel without a prior borrows the measured mean
         assert model.rate("other") == pytest.approx(0.5)
 
-    def test_fold_engine_ignores_malformed_wire_input(self):
+    def test_from_dict_ignores_legacy_engine_rates(self):
+        """Snapshots spooled by older coordinators carry folded engine
+        kernel rates; they load, and the rates play no part."""
         model = UnitCostModel()
-        model.fold_engine(None)
-        model.fold_engine("garbage")
-        model.fold_engine({"k": "soon", "j": -1.0, "ok": 2e-6})
-        assert model.engine == {"ok": pytest.approx(2e-6)}
+        model.set_prior_work("k", 2_000_000.0)
+        legacy = {**model.to_dict(), "engine": {"raster": 3e-6, "table": "x"}}
+        clone = UnitCostModel.from_dict(legacy)
+        assert clone.to_dict() == model.to_dict()
+        assert "engine" not in clone.to_dict()
+        assert clone.rate("k") == model.rate("k")
 
     def test_min_cells_for_tracks_measured_rate(self):
         model = UnitCostModel()
@@ -132,7 +133,6 @@ class TestUnitCostModel:
         model = UnitCostModel(alpha=0.4)
         model.observe("a:ref", 4, 2.0)
         model.set_prior_work("b:ref", 100.0)
-        model.fold_engine({"kernel": 3e-7})
         clone = UnitCostModel.from_dict(model.to_dict())
         assert clone.to_dict() == model.to_dict()
         assert clone.rate("a:ref") == model.rate("a:ref")
@@ -313,7 +313,6 @@ class TestCostSnapshotPersistence:
         model = UnitCostModel()
         model.observe("grassland:vectorized", 10, 2.0)
         model.observe("river_gap:vectorized", 4, 1.0)
-        model.fold_engine({"spread": 1e-7})
         model.set_prior_work("forest:vectorized", 123.0)
         path = tmp_path / "costs.json"
         save_cost_model(model, path)

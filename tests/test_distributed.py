@@ -34,7 +34,6 @@ from repro.distributed import (
     UnitLedger,
     parse_address,
     run_worker,
-    shard_assignments,
 )
 from repro.distributed.protocol import (
     MAX_MESSAGE_BYTES,
@@ -55,6 +54,7 @@ from repro.experiments import (
     record_key,
 )
 from repro.experiments.store import HAS_APPEND_LOCK, parity_view
+from repro.experiments.work import assign_units_by_cost
 from repro.service import PlanQueue, ServiceCoordinator, plan_job_id
 
 needs_fork = pytest.mark.skipif(
@@ -167,16 +167,20 @@ class TestShardAssignments:
     @pytest.mark.parametrize("n_pending", [1, 2, 3, 7])
     @pytest.mark.parametrize("shards", [1, 2, 3, 5, 16])
     def test_never_empty_covers_all_disjoint(self, n_pending, shards):
-        pending = list(range(100, 100 + n_pending))
-        assignments = shard_assignments(pending, shards)
+        """The shard executor's assignment of pending units."""
+        pending = [
+            WorkUnit(group, (("ess", f"case{group}", 0, "vectorized"),))
+            for group in range(n_pending)
+        ]
+        assignments = assign_units_by_cost(pending, shards, lambda g: 1.0 + g)
         assert all(assignments), "no shard may be spawned empty"
         assert len(assignments) == min(shards, n_pending)
-        flat = [i for a in assignments for i in a]
-        assert sorted(flat) == sorted(pending)
+        flat = [u for a in assignments for u in a]
+        assert sorted(flat, key=lambda u: u.group) == pending
 
     def test_invalid_shards_raise(self):
         with pytest.raises(ReproError):
-            shard_assignments([1], 0)
+            ProcessShardExecutor(0)
 
     @needs_fork
     def test_more_shards_than_groups_runs_clean(self, tmp_path):
@@ -1231,6 +1235,22 @@ class TestCostLedger:
         stats = ledger.worker_stats()
         assert stats["w1"]["throughput"] == pytest.approx(4.0)
         assert stats["w2"]["throughput"] == pytest.approx(1.0)
+
+    def test_engine_costs_from_older_workers_are_ignored(self):
+        """Workers that still ship an ``engine_costs`` snapshot on
+        heartbeat and complete teach the model only their timings."""
+        clock = [0.0]
+        with_costs, plain = self._ledger(set(), clock), self._ledger(set(), clock)
+        legacy = {"engine_costs": {"table": 5e-6, "raster": "soon"}}
+        for ledger, extra in ((with_costs, legacy), (plain, {})):
+            grant = ledger.lease("w1")
+            assert ledger.heartbeat(
+                "w1", grant["lease"], {"unit_seconds": 3.0, **extra}
+            ) == {"type": "ok"}
+            ledger.complete(
+                "w1", grant["lease"], {"unit_seconds": 4.0, **extra}, drained=True
+            )
+        assert with_costs.cost_model.to_dict() == plain.cost_model.to_dict()
 
     def test_piggybacked_complete_carries_the_next_lease(self, tmp_path):
         """A complete carrying its records inline gets the next lease

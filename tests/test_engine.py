@@ -337,8 +337,9 @@ class TestMasterWorkerBackend:
             MasterWorkerEngine(toy_problem, n_workers=1, backend="vectorized")
 
 
-class TestAdaptiveKernelChoice:
-    """The measured-cost kernel model of the heterogeneous-raster path."""
+class TestRasterMode:
+    """The slope/aspect raster mode: one fields-driven ``burn`` call per
+    field chunk over the whole grid's class map."""
 
     @pytest.fixture()
     def ridge_problem(self):
@@ -359,96 +360,16 @@ class TestAdaptiveKernelChoice:
             fire.step_horizon(1),
         )
 
-    @pytest.fixture(autouse=True)
-    def _fresh_model(self, monkeypatch):
-        from repro.engine.backends import FORCE_KERNEL_ENV, reset_kernel_costs
-
-        monkeypatch.delenv(FORCE_KERNEL_ENV, raising=False)
-        reset_kernel_costs()
-        yield
-        reset_kernel_costs()
-
-    def _values_and_calls(self, problem, genomes):
+    def test_raster_mode_matches_reference_bitwise(self, ridge_problem):
+        genomes = SPACE.sample(16, 31)
+        genomes = np.vstack([genomes, genomes[:4]])  # repeats dedupe
         with SimulationEngine.from_problem(
-            problem, backend="vectorized"
+            ridge_problem, backend="reference"
+        ) as reference, SimulationEngine.from_problem(
+            ridge_problem, backend="vectorized"
         ) as engine:
-            values = engine(genomes)
-            calls = dict(engine._backend.kernel_calls)
-        return values, calls
-
-    def test_force_hatch_pins_each_kernel_bitwise_equal(
-        self, ridge_problem, monkeypatch
-    ):
-        from repro.engine.backends import FORCE_KERNEL_ENV
-
-        genomes = SPACE.sample(12, 31)
-        monkeypatch.setenv(FORCE_KERNEL_ENV, "table")
-        table_values, table_calls = self._values_and_calls(
-            ridge_problem, genomes
-        )
-        assert table_calls == {"table": 12, "raster": 0}
-        monkeypatch.setenv(FORCE_KERNEL_ENV, "raster")
-        raster_values, raster_calls = self._values_and_calls(
-            ridge_problem, genomes
-        )
-        assert raster_calls == {"table": 0, "raster": 12}
-        assert np.array_equal(table_values, raster_values)
-
-    def test_adaptive_choice_measures_both_then_matches(self, ridge_problem):
-        genomes = SPACE.sample(16, 32)
-        adaptive_values, calls = self._values_and_calls(ridge_problem, genomes)
-        from repro.engine.backends import _KERNEL_COSTS, FORCE_KERNEL_ENV
-
-        # after a deduplicated batch both kernels have measured rates
-        assert set(_KERNEL_COSTS.rates) == {"table", "raster"}
-        assert calls["table"] + calls["raster"] == 16
-        import os
-
-        os.environ[FORCE_KERNEL_ENV] = "table"
-        try:
-            forced_values, _ = self._values_and_calls(ridge_problem, genomes)
-        finally:
-            del os.environ[FORCE_KERNEL_ENV]
-        assert np.array_equal(adaptive_values, forced_values)
-
-    def test_cost_model_prediction_logic(self):
-        from repro.engine.backends import KernelCostModel
-
-        model = KernelCostModel(alpha=0.5)
-        # un-primed: static ratio rule
-        assert model.choose(10, 1000, 8) == "table"  # 4·10 ≤ 1000
-        assert model.choose(500, 100, 8) == "raster"
-        # one sample: measure the unsampled kernel next
-        model.observe("raster", 500, 100, 8, seconds=1e-3)
-        assert model.choose(500, 100, 8) == "table"
-        # both sampled: argmin of predicted cost wins
-        model.observe("table", 10, 100, 8, seconds=1e-6)
-        assert model.choose(10, 1000, 8) == "table"
-        model.observe("table", 10, 100, 8, seconds=10.0)
-        assert model.choose(10, 1000, 8) == "raster"
-
-    def test_cost_model_validates_alpha(self):
-        from repro.engine.backends import KernelCostModel
-
-        with pytest.raises(ReproError):
-            KernelCostModel(alpha=0.0)
-        with pytest.raises(ReproError):
-            KernelCostModel(probe_interval=-1)
-
-    def test_periodic_probe_keeps_both_kernels_measured(self):
-        """An outlier EMA cannot permanently exclude a kernel: every
-        probe_interval-th adaptive choice takes the other one."""
-        from repro.engine.backends import KernelCostModel
-
-        model = KernelCostModel(alpha=0.5, probe_interval=4)
-        model.observe("table", 10, 100, 8, seconds=1e-6)
-        model.observe("raster", 10, 100, 8, seconds=10.0)  # outlier
-        choices = [model.choose(10, 100, 8) for _ in range(8)]
-        assert choices.count("raster") == 2  # probed, not abandoned
-        assert choices.count("table") == 6
-        no_probe = KernelCostModel(alpha=0.5, probe_interval=0)
-        no_probe.observe("table", 10, 100, 8, seconds=1e-6)
-        no_probe.observe("raster", 10, 100, 8, seconds=10.0)
-        assert all(
-            no_probe.choose(10, 100, 8) == "table" for _ in range(8)
-        )
+            assert engine._backend._mode == "raster"
+            assert np.array_equal(engine(genomes), reference(genomes))
+            assert np.array_equal(
+                engine.burned_maps(genomes), reference.burned_maps(genomes)
+            )

@@ -19,14 +19,20 @@ import numpy as np
 import pytest
 
 from repro.core.scenario import ParameterSpace
-from repro.engine import SimulationEngine, native
-from repro.engine.fastprop import FlatGrid, propagate_raster, propagate_uniform
+from repro.engine import SimulationEngine, backends, native
+from repro.engine.fastprop import (
+    FlatGrid,
+    _travel,
+    propagate_raster,
+    propagate_uniform,
+)
 from repro.errors import SimulationError
 from repro.firelib.propagation import (
     _offset_azimuth_deg,
     propagate,
     stencil,
 )
+from repro.firelib.rothermel import ROS_EPSILON
 from repro.grid.terrain import Terrain
 from repro.parallel.executor import SerialEvaluator
 from repro.systems.problem import PredictionStepProblem
@@ -61,6 +67,56 @@ def _model_genomes(model: int, n: int, seed: int) -> np.ndarray:
     genomes = SPACE.sample(n, seed)
     genomes[:, 0] = model
     return genomes
+
+
+def _stencil_geometry(offsets) -> tuple[np.ndarray, np.ndarray]:
+    """Azimuths (degrees) and distances (one-foot cells) of a stencil."""
+    azimuths = np.array([_offset_azimuth_deg(dr, dc) for dr, dc in offsets])
+    distances = np.array([float(np.hypot(dr, dc)) for dr, dc in offsets])
+    return azimuths, distances
+
+
+def _random_fields(rng, n: int, n_classes: int) -> tuple[np.ndarray, ...]:
+    """``(n, K)`` ellipse fields: ros, heading (degrees), eccentricity."""
+    return (
+        rng.uniform(0.05, 1.0, (n, n_classes)),
+        rng.uniform(0.0, 360.0, (n, n_classes)),
+        rng.uniform(0.0, 0.95, (n, n_classes)),
+    )
+
+
+def _adversarial_fields(n_classes: int, azimuth: float) -> tuple[np.ndarray, ...]:
+    """One run's fields cycling through the edge cases of the travel
+    rows, one per class: no spread, spread exactly at ``ROS_EPSILON``,
+    eccentricities whose heading denominator the 1e-12 clamp catches
+    (``azimuth`` is a stencil azimuth), NaN in each field, and headings
+    on both sides of the 0/360 wrap."""
+    cases = [
+        (0.0, 0.0, 0.0),
+        (ROS_EPSILON, 0.0, 0.0),
+        (ROS_EPSILON, 90.0, 0.5),
+        (0.5, azimuth, 1.0 - 1e-13),
+        (0.5, azimuth, 1.0),
+        (np.nan, 0.0, 0.3),
+        (0.5, np.nan, 0.3),
+        (0.5, 0.0, np.nan),
+        (0.7, 0.0, 0.6),
+        (0.7, 360.0, 0.6),
+        (0.7, -0.0, 0.6),
+        (0.7, np.nextafter(360.0, 0.0), 0.6),
+        (0.7, 1e-12, 0.6),
+        (0.9, 180.0, 0.8),
+    ]
+    picked = np.array([cases[k % len(cases)] for k in range(n_classes)])
+    return tuple(picked[None, :, j].copy() for j in range(3))
+
+
+def _padded_classes(grid: FlatGrid, class_map: np.ndarray) -> list[int]:
+    classes = np.zeros((grid.rows + 2 * grid.pad, grid.width), dtype=np.int64)
+    classes[grid.pad : grid.pad + grid.rows, grid.pad : grid.pad + grid.cols] = (
+        class_map
+    )
+    return classes.reshape(-1).tolist()
 
 
 class TestVectorizedBitwise:
@@ -228,6 +284,29 @@ class TestVectorizedBitwise:
             ref.burned_maps(genomes), vec.burned_maps(genomes)
         )
 
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_field_chunk_boundaries(self, monkeypatch, chunk):
+        """Batches cut into field chunks of 1, 3 and 7 genomes (one per
+        ``burn`` call) on a one-class-per-cell raster match the
+        reference."""
+        rng = np.random.default_rng(99)
+        terrain = Terrain(
+            12,
+            12,
+            slope=rng.uniform(0.0, 45.0, (12, 12)),
+            aspect=rng.uniform(0.0, 360.0, (12, 12)),
+        )
+        monkeypatch.setattr(
+            backends, "_FIELD_BLOCK_ELEMENTS", 3 * terrain.rows * terrain.cols * chunk
+        )
+        problem = _problem(terrain, seed=100)
+        genomes = SPACE.sample(8, 101)
+        ref = SimulationEngine.from_problem(problem, backend="reference")
+        vec = SimulationEngine.from_problem(problem, backend="vectorized")
+        assert np.array_equal(
+            ref.burned_maps(genomes), vec.burned_maps(genomes)
+        )
+
 
 _KERNEL_DEFAULTS = {
     "n_neighbors": 8,
@@ -339,24 +418,43 @@ class TestFlatKernelsMatchReference:
         )
         assert np.array_equal(expected_uniform, got_uniform)
 
-        if horizon is not None:
-            burned = grid.burn(table[None], class_flat, seeded, horizon)
-            assert np.array_equal(burned[0], expected <= horizon)
-            burned = grid.burn(weights[None], None, seeded, horizon)
-            assert np.array_equal(burned[0], expected_uniform <= horizon)
+        # the fields entry (whose horizon must be finite): one class per
+        # cell, then one class for all
+        limit = 1e9 if horizon is None else horizon
+        azimuths, distances = _stencil_geometry(offsets)
+        fields = _random_fields(rng, 1, size * size)
+        travel = np.moveaxis(
+            _travel(*(f[0] for f in fields), azimuths, distances), -1, 0
+        ).reshape(travel.shape)
+        expected = propagate(travel, seeds, horizon=horizon, blocked=blocked)
+        burned = grid.burn(*fields, azimuths, distances, class_flat, seeded, limit)
+        assert np.array_equal(burned[0], expected <= limit)
+        fields = _random_fields(rng, 1, 1)
+        weights = _travel(*(f[0, 0] for f in fields), azimuths, distances)
+        expected = propagate(
+            np.broadcast_to(weights[:, None, None], travel.shape),
+            seeds,
+            horizon=horizon,
+            blocked=blocked,
+        )
+        burned = grid.burn(
+            *fields, azimuths, distances, [0] * len(class_flat), seeded, limit
+        )
+        assert np.array_equal(burned[0], expected <= limit)
 
     @pytest.mark.parametrize("n", [0, 1, 7])
     @pytest.mark.parametrize("mode", ["uniform", "table"])
     def test_burn_matches_run_kernels(self, mode, n):
         """One batched call equals the per-run kernels and the reference.
 
-        The 7-run batch holds all-zero weights (the whole open region
-        burns at once), unit weights (arrivals land exactly on the
-        integer horizon) and rows with ``inf`` and NaN travel times.
+        The 7-run batch holds fast fields (the whole open region burns
+        within the horizon), fields that never spread (``ros`` 0 and at
+        ``ROS_EPSILON``), and NaN in each field.
         """
         size, horizon = 14, 6.0
         rng = np.random.default_rng(n)
         offsets = stencil(8)
+        azimuths, distances = _stencil_geometry(offsets)
         seeds = {(7, 7): 0.0, (2, 3): 1.5, (11, 2): 5.0}
         blocked = rng.random((size, size)) < 0.15
         for cell in seeds:
@@ -364,44 +462,110 @@ class TestFlatKernelsMatchReference:
         grid = FlatGrid((size, size), offsets, blocked)
         seeded = grid.seed(seeds)
         n_classes = 1 if mode == "uniform" else 3
-        weights = rng.uniform(0.5, 3.0, (n, n_classes, len(offsets)))
+        ros, dir_, ecc = _random_fields(rng, n, n_classes)
         if n == 7:
-            weights[0] = 0.0
-            weights[1] = 1.0
-            weights[2][rng.random(weights[2].shape) < 0.3] = np.inf
-            weights[3, :, 2] = np.nan
+            ros[0] = 1e6
+            ros[1] = 0.0
+            ros[2] = ROS_EPSILON
+            ros[3, 0], dir_[4, 0], ecc[5, 0] = np.nan, np.nan, np.nan
         class_map = rng.integers(0, n_classes, (size, size))
-        if mode == "uniform":
-            burned = grid.burn(weights[:, 0], None, seeded, horizon)
-            per_run = [grid.run_uniform(w[0], seeded, horizon) for w in weights]
-        else:
-            classes = np.zeros((size + 2 * grid.pad, grid.width), dtype=np.int64)
-            classes[grid.pad : grid.pad + size, grid.pad : grid.pad + size] = (
-                class_map
-            )
-            class_flat = classes.reshape(-1).tolist()
-            burned = grid.burn(weights, class_flat, seeded, horizon)
-            per_run = [
-                grid.run_table(w, class_flat, seeded, horizon) for w in weights
-            ]
+        class_flat = _padded_classes(grid, class_map)
+        burned = grid.burn(
+            ros, dir_, ecc, azimuths, distances, class_flat, seeded, horizon
+        )
         assert burned.dtype == bool and burned.shape == (n, size, size)
         assert not burned[:, blocked].any()
-        for k, w in enumerate(weights):
-            travel = np.moveaxis(w[class_map], -1, 0)  # (D, H, W)
+        for k in range(n):
+            table = _travel(ros[k], dir_[k], ecc[k], azimuths, distances)
+            per_run = grid.run_table(table, class_flat, seeded, horizon)
+            travel = np.moveaxis(table[class_map], -1, 0)  # (D, H, W)
             expected = propagate(travel, seeds, horizon=horizon, blocked=blocked)
-            assert np.array_equal(burned[k], per_run[k] <= horizon)
+            assert np.array_equal(burned[k], per_run <= horizon)
             assert np.array_equal(burned[k], expected <= horizon)
         if n == 7:
-            assert (per_run[0] == 0.0).sum() > len(seeds)
-            assert burned[1][per_run[1] == horizon].any()
+            assert burned[0].sum() > burned[1].sum() == len(seeds)
+            assert np.array_equal(burned[1], burned[2])
+
+    @pytest.mark.parametrize("n_neighbors", [8, 16])
+    def test_burn_adversarial_fields(self, n_neighbors):
+        """One class per cell, each cell's fields an edge case of the
+        travel rows (see :func:`_adversarial_fields`), against the
+        reference propagation of the NumPy travel times."""
+        size, horizon = 16, 40.0
+        offsets = stencil(n_neighbors)
+        azimuths, distances = _stencil_geometry(offsets)
+        rng = np.random.default_rng(n_neighbors)
+        blocked = rng.random((size, size)) < 0.1
+        seeds = [(8, 8), (3, 12)]
+        for cell in seeds:
+            blocked[cell] = False
+        grid = FlatGrid((size, size), offsets, blocked)
+        seeded = grid.seed(seeds)
+        fields = _adversarial_fields(size * size, azimuth=float(azimuths[2]))
+        table = _travel(*(f[0] for f in fields), azimuths, distances)
+        with np.errstate(invalid="ignore"):
+            theta = np.radians(azimuths - fields[1][0][:, None])
+            clamped = 1.0 - fields[2][0][:, None] * np.cos(theta) < 1e-12
+        assert clamped.any() and np.isinf(table).any()
+        assert np.isfinite(table).any()
+        class_flat = _padded_classes(grid, np.arange(size * size).reshape(size, size))
+        burned = grid.burn(
+            *fields, azimuths, distances, class_flat, seeded, horizon
+        )
+        travel = np.moveaxis(table, -1, 0).reshape(len(offsets), size, size)
+        expected = propagate(travel, seeds, horizon=horizon, blocked=blocked)
+        assert np.array_equal(burned[0], expected <= horizon)
+        assert burned[0].sum() > len(seeds)
+
+    def test_burn_travel_times_are_exact(self):
+        """Each direction's travel time is the NumPy one to the last bit:
+        with the horizon at that time a neighbour ignites, one ulp below
+        it that neighbour stays unburned (unless another path is as
+        fast, which the reference accounts for)."""
+        offsets = stencil(16)
+        azimuths, distances = _stencil_geometry(offsets)
+        rng = np.random.default_rng(17)
+        grid = FlatGrid((5, 5), offsets)
+        seeds = [(2, 2)]
+        seeded = grid.seed(seeds)
+        class_flat = [0] * (grid.width * (5 + 2 * grid.pad))
+        for _ in range(40):
+            fields = _random_fields(rng, 1, 1)
+            weights = _travel(*(f[0, 0] for f in fields), azimuths, distances)
+            travel = np.broadcast_to(weights[:, None, None], (len(offsets), 5, 5))
+            for limit in (*weights, *np.nextafter(weights, 0.0)):
+                burned = grid.burn(
+                    *fields, azimuths, distances, class_flat, seeded, limit
+                )
+                expected = propagate(travel, seeds, horizon=limit) <= limit
+                assert np.array_equal(burned[0], expected)
+
+    def test_burn_spread_threshold_is_exclusive(self):
+        """A rate exactly at ``ROS_EPSILON`` never spreads; the next
+        double above it does (micro-distances make its travel short)."""
+        offsets = stencil(8)
+        azimuths, distances = _stencil_geometry(offsets)
+        distances = distances * 1e-9
+        grid = FlatGrid((5, 5), offsets)
+        seeded = grid.seed([(2, 2)])
+        class_flat = [0] * (grid.width * (5 + 2 * grid.pad))
+        ros = np.array([[ROS_EPSILON], [np.nextafter(ROS_EPSILON, 1.0)]])
+        still = np.zeros((2, 1))
+        burned = grid.burn(
+            ros, still, still, azimuths, distances, class_flat, seeded, 5.0
+        )
+        assert burned[0].sum() == 1 and burned[1].all()
 
     def test_negative_travel_times_are_rejected(self):
-        """Every entry point refuses a negative travel time; NaN and
-        ``inf`` never relax anything and stay allowed."""
+        """Every entry point refuses a negative travel time (for
+        ``burn``, a negative stencil distance); NaN and ``inf`` never
+        relax anything and stay allowed."""
         offsets = stencil(8)
+        azimuths, distances = _stencil_geometry(offsets)
         grid = FlatGrid((6, 6), offsets)
         seeded = grid.seed([(3, 3)])
         class_flat = [0] * (grid.width * (6 + 2 * grid.pad))
+        fields = (np.ones((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
         for bad in (-1.0, -np.inf):
             weights = [1.0] * 7 + [bad]
             with pytest.raises(SimulationError, match="non-negative"):
@@ -409,19 +573,22 @@ class TestFlatKernelsMatchReference:
             with pytest.raises(SimulationError, match="non-negative"):
                 grid.run_table([weights], class_flat, seeded, 5.0)
             with pytest.raises(SimulationError, match="non-negative"):
-                grid.run_raster(
+                propagate_raster(
                     np.broadcast_to(np.array(weights)[:, None, None], (8, 6, 6)),
-                    seeded,
+                    offsets,
+                    [(3, 3)],
                     5.0,
                 )
             with pytest.raises(SimulationError, match="non-negative"):
-                grid.burn(np.array([weights]), None, seeded, 5.0)
-            with pytest.raises(SimulationError, match="non-negative"):
-                grid.burn(np.array([[weights]]), class_flat, seeded, 5.0)
+                grid.burn(
+                    *fields, azimuths, np.array(weights), class_flat, seeded, 5.0
+                )
         allowed = [1.0] * 6 + [np.nan, np.inf]
         expected = grid.run_uniform(allowed, seeded, 5.0) <= 5.0
         assert expected.any()
-        burned = grid.burn(np.array([allowed]), None, seeded, 5.0)
+        burned = grid.burn(
+            *fields, azimuths, np.array(allowed), class_flat, seeded, 5.0
+        )
         assert np.array_equal(burned[0], expected)
         assert np.array_equal(
             grid.run_table([allowed], class_flat, seeded, 5.0) <= 5.0, expected
@@ -429,24 +596,36 @@ class TestFlatKernelsMatchReference:
 
     def test_weight_shapes_are_checked(self):
         offsets = stencil(8)
+        azimuths, distances = _stencil_geometry(offsets)
         grid = FlatGrid((6, 6), offsets)
         seeded = grid.seed([(3, 3)])
         class_flat = [0] * (grid.width * (6 + 2 * grid.pad))
+        ones = np.ones((2, 1))
+
+        def burn(
+            ros=ones, dir_=ones, ecc=ones, az=azimuths, classes=class_flat, horizon=5.0
+        ):
+            return grid.burn(ros, dir_, ecc, az, distances, classes, seeded, horizon)
+
         with pytest.raises(SimulationError):
             grid.run_uniform([1.0] * 7, seeded, 5.0)
         with pytest.raises(SimulationError):
             grid.run_table([[1.0] * 8, [1.0] * 7], class_flat, seeded, 5.0)
         with pytest.raises(SimulationError):
             grid.run_table([[1.0] * 7], class_flat, seeded, 5.0)
+        assert burn().shape == (2, 6, 6)
         with pytest.raises(SimulationError):
-            grid.burn(np.ones((2, 7)), None, seeded, 5.0)
+            burn(ecc=np.ones((2, 2)))  # unequal fields
         with pytest.raises(SimulationError):
-            grid.burn(np.ones((2, 8)), class_flat, seeded, 5.0)  # no class axis
-        if native.load() is not None:  # the Python loops index the table
-            with pytest.raises(SimulationError, match="outside"):
-                grid.burn(np.ones((2, 1, 8)), [1] * len(class_flat), seeded, 5.0)
+            burn(ones[:, 0], ones[:, 0], ones[:, 0])  # no class axis
         with pytest.raises(SimulationError):
-            grid.burn(np.ones((2, 8)), None, seeded, np.inf)
+            burn(az=azimuths[:7])
+        with pytest.raises(SimulationError, match="outside"):
+            burn(classes=[1] * len(class_flat))
+        with pytest.raises(SimulationError):
+            burn(classes=class_flat[1:])
+        with pytest.raises(SimulationError):
+            burn(horizon=np.inf)
 
     def test_uniform_kernel_matches_constant_raster(self):
         offsets = stencil(8)

@@ -7,6 +7,7 @@ must return the maps the Python loops return, bit for bit.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import subprocess
@@ -20,8 +21,8 @@ import pytest
 import repro
 from repro.core.scenario import ParameterSpace
 from repro.engine import SimulationEngine, native
-from repro.engine.fastprop import FlatGrid, propagate_uniform
-from repro.firelib.propagation import stencil
+from repro.engine.fastprop import FlatGrid, propagate_raster, propagate_uniform
+from repro.firelib.propagation import _offset_azimuth_deg, stencil
 from repro.grid.terrain import Terrain
 from repro.obs import telemetry
 from repro.systems.problem import PredictionStepProblem
@@ -32,7 +33,7 @@ needs_compiler = pytest.mark.skipif(not HAS_COMPILER, reason="no C compiler")
 
 def _maps() -> list[np.ndarray]:
     """One run of each kernel and a batch of each burn mode: timed
-    seeds, blocked cells, inf weights."""
+    seeds, blocked cells, inf weights, fields that never spread."""
     rng = np.random.default_rng(5)
     offsets = stencil(8)
     size = 20
@@ -50,13 +51,27 @@ def _maps() -> list[np.ndarray]:
     )
     table = rng.uniform(0.5, 4.0, (3, len(offsets)))
     class_flat = classes.reshape(-1).tolist()
-    batch = rng.uniform(0.5, 4.0, (4, 3, len(offsets)))
+    azimuths = np.arange(len(offsets)) * 45.0
+    distances = np.array([np.hypot(dr, dc) for dr, dc in offsets])
+    ros = rng.uniform(0.1, 1.0, (4, 3))
+    ros[1, 0] = 0.0
+    dir_ = rng.uniform(0.0, 360.0, (4, 3))
+    ecc = rng.uniform(0.0, 0.9, (4, 3))
     return [
         grid.run_uniform(travel[:, 0, 0].tolist(), seeded, horizon=15.0),
         grid.run_table(table.tolist(), class_flat, seeded, 15.0),
-        grid.run_raster(travel, seeded, horizon=None),
-        grid.burn(batch[:, 0], None, seeded, 15.0),
-        grid.burn(batch, class_flat, seeded, 15.0),
+        propagate_raster(travel, offsets, seeds, horizon=None, blocked=blocked),
+        grid.burn(
+            ros[:, :1],
+            dir_[:, :1],
+            ecc[:, :1],
+            azimuths,
+            distances,
+            [0] * len(class_flat),
+            seeded,
+            15.0,
+        ),
+        grid.burn(ros, dir_, ecc, azimuths, distances, class_flat, seeded, 15.0),
     ]
 
 
@@ -217,6 +232,7 @@ def test_kernel_metrics_name_the_impl(monkeypatch, impl):
         "uniform": Terrain.uniform(12, 12),
         "raster": Terrain(12, 12, slope=rng.uniform(0.0, 30.0, (12, 12))),
     }
+    genomes = ParameterSpace().sample(3, 4)
     before = _kernel_calls()
     for terrain in terrains.values():
         problem = PredictionStepProblem(
@@ -225,11 +241,61 @@ def test_kernel_metrics_name_the_impl(monkeypatch, impl):
             real_burned=start | (rng.random((12, 12)) < 0.2),
             horizon=20.0,
         )
-        SimulationEngine.from_problem(problem, backend="vectorized")(
-            ParameterSpace().sample(3, 4)
-        )
+        SimulationEngine.from_problem(problem, backend="vectorized")(genomes)
     after = _kernel_calls()
-    grew = {key for key, value in after.items() if value > before.get(key, 0)}
-    assert ("uniform", impl) in grew
-    assert grew & {("table", impl), ("raster", impl)}  # the slope raster
-    assert {label for _, label in grew} == {impl}
+    grew = {
+        key: value - before.get(key, 0)
+        for key, value in after.items()
+        if value > before.get(key, 0)
+    }
+    # one count per deduplicated genome, whatever the mode
+    assert grew == {("uniform", impl): len(genomes), ("raster", impl): len(genomes)}
+
+
+def _libm_cos_probes(n: int) -> np.ndarray:
+    """``n`` seeded angles of the kind the kernel's rows take: a stencil
+    azimuth minus a heading, in radians."""
+    rng = np.random.default_rng(300_000)
+    azimuths = [_offset_azimuth_deg(dr, dc) for dr, dc in stencil(16)]
+    headings = rng.uniform(0.0, 360.0, n)
+    return np.radians(rng.choice(azimuths, n) - headings)
+
+
+@needs_compiler
+def test_cos_guard_passes_where_the_kernel_loads():
+    """Where the kernel loads, its libm ``cos`` equals ``np.cos`` on the
+    load-time probes and on 300k more seeded row angles."""
+    lib = native.load()
+    if lib is None:
+        pytest.skip("libm cos disagrees with np.cos here: the kernel is off")
+    assert native.cos_agrees(lib)
+    angles = _libm_cos_probes(300_000)
+    got = np.empty_like(angles)
+    lib.fastprop_cos(got.ctypes.data, angles.ctypes.data, angles.size)
+    assert got.tobytes() == np.cos(angles).tobytes()
+
+
+def _cos_library(ulps_off: int):
+    """A stand-in kernel library whose ``cos`` is ``np.cos``, moved
+    ``ulps_off`` ulps up on the middle probe."""
+
+    def fastprop_cos(out, x, n):
+        values = np.cos(np.frombuffer((ctypes.c_double * n).from_address(x)))
+        for _ in range(ulps_off):
+            values[n // 2] = np.nextafter(values[n // 2], np.inf)
+        ctypes.memmove(out, values.ctypes.data, values.nbytes)
+
+    return type("CosLibrary", (), {"fastprop_cos": staticmethod(fastprop_cos)})
+
+
+def test_cos_guard_catches_one_ulp():
+    assert native.cos_agrees(_cos_library(0))
+    assert not native.cos_agrees(_cos_library(1))
+
+
+@needs_compiler
+def test_cos_mismatch_falls_back_to_python(fresh_loader, monkeypatch, python_maps):
+    monkeypatch.setattr(native, "cos_agrees", lambda lib: False)
+    assert native.load() is None
+    assert native.impl() == "python"
+    _assert_maps(python_maps)

@@ -24,7 +24,7 @@ from repro.experiments import (
     record_key,
 )
 from repro.experiments.store import parity_view
-from repro.experiments.work import assign_units, split_units
+from repro.experiments.work import assign_units_by_cost, split_units
 
 
 def _plan(**overrides) -> ExperimentPlan:
@@ -132,7 +132,7 @@ class TestWorkSet:
 
     def test_wire_round_trip(self):
         plan = _plan()
-        workset = WorkSet.compile(plan).split(4)
+        workset = WorkSet(plan, tuple(split_units(WorkSet.compile(plan).units, 4)))
         clone = WorkSet.from_dict(workset.to_dict())
         assert clone == workset
         assert clone.plan == plan
@@ -159,17 +159,23 @@ class TestScheduling:
         )
 
     def test_assign_units_balances_and_never_leaves_empty(self):
+        """At one rate for every group the cost assignment balances
+        cells."""
+
+        def assign(units, parts):
+            return assign_units_by_cost(units, parts, lambda group: 1.0)
+
         units = split_units([_unit(8)], 4) + [_unit(2, group=1)]
-        buckets = assign_units(units, 3)
+        buckets = assign(units, 3)
         assert len(buckets) == 3
         assert all(buckets)
         loads = sorted(sum(u.n_cells for u in b) for b in buckets)
         assert loads == [2, 4, 4]
         # fewer units than buckets: no empties
-        assert len(assign_units([_unit(4)], 5)) == 1
-        assert assign_units([], 3) == []
+        assert len(assign([_unit(4)], 5)) == 1
+        assert assign([], 3) == []
         with pytest.raises(ReproError):
-            assign_units(units, 0)
+            assign(units, 0)
 
 
 class TestRunUnits:
